@@ -206,3 +206,67 @@ func TestStreamKeepsTheWindowAndIsSeeded(t *testing.T) {
 		t.Fatal("live() disagrees with the replayed ops")
 	}
 }
+
+// An open-loop writer idles between writes; throughput counts only the
+// time a write was outstanding, and a write queued behind the previous one
+// is busy only from that one's ack.
+func TestThroughputIsOverBusyTime(t *testing.T) {
+	ms := time.Millisecond
+	var writes []writeRec
+	for part := 0; part < parts; part++ { // one pair per one-second sub-window
+		base := time.Duration(part) * time.Second
+		writes = append(writes,
+			writeRec{sent: base, acked: base + 50*ms, edges: 1000, ok: true},
+			// Due while the first ran: busy from its ack, 50 ms more.
+			writeRec{sent: base + 10*ms, acked: base + 100*ms, edges: 1000, ok: true})
+	}
+	r := newResult()
+	reportWrites(r, writes, parts*time.Second)
+	if got := r.Metrics["update_edges_per_s"].Value; math.Abs(got-20000) > 1e-6 {
+		t.Errorf("update_edges_per_s = %g, want 20000 (2000 edges per 100 ms busy)", got)
+	}
+	if r.Attempted != 2*parts || r.Failed != 0 {
+		t.Errorf("attempted %d failed %d, want %d and 0", r.Attempted, r.Failed, 2*parts)
+	}
+}
+
+func TestReservoirKeepsGroupsWholeAndBounded(t *testing.T) {
+	k := newSamples(1)
+	vs := make([]uint32, bulkSize)
+	est := make([]float64, bulkSize)
+	for i := 0; i < 4*keptBulks; i++ {
+		for j := range vs {
+			vs[j] = uint32(i*bulkSize + j)
+		}
+		k.bulk(vs, est, uint64(i))
+	}
+	buf := k.bulks.buf
+	if len(buf) != keptBulks*bulkSize {
+		t.Fatalf("kept %d bulk samples, want %d", len(buf), keptBulks*bulkSize)
+	}
+	late := 0
+	for g := 0; g < keptBulks; g++ {
+		grp := buf[g*bulkSize : (g+1)*bulkSize]
+		if !grp[0].anchor || int(grp[0].v) != int(grp[0].lo)*bulkSize {
+			t.Fatalf("group %d does not start at its anchor", g)
+		}
+		for j, sm := range grp {
+			if sm.lo != grp[0].lo || int(sm.v) != int(grp[0].v)+j {
+				t.Fatalf("group %d mixes bulk reads", g)
+			}
+		}
+		if grp[0].lo >= keptBulks {
+			late++
+		}
+	}
+	// Uniform over 4*keptBulks offers: about three quarters come late.
+	if late < keptBulks/2 {
+		t.Errorf("only %d of %d kept groups come after the reservoir filled", late, keptBulks)
+	}
+	for i := 0; i < 2*keptPoints; i++ {
+		k.point(readSample{v: uint32(i)})
+	}
+	if got := len(k.all()); got != keptPoints+keptBulks*bulkSize {
+		t.Errorf("all() = %d samples, want %d", got, keptPoints+keptBulks*bulkSize)
+	}
+}

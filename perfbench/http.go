@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,9 +27,8 @@ type traffic struct {
 	// writeEvery, when set, makes the writer open-loop: one write is due
 	// every writeEvery. Zero makes it closed-loop.
 	writeEvery time.Duration
-	tail       time.Duration // writes continue this long after the window, unmeasured
-	maxWrites  int           // when set, the writer stops after this many writes
-	feed       bool          // subscribe to readFrom's change feed
+	maxWrites  int  // when set, the writer stops after this many writes
+	feed       bool // subscribe to readFrom's change feed
 }
 
 // outcome is what one HTTP run observed.
@@ -39,7 +36,7 @@ type outcome struct {
 	writes              []writeRec
 	point, bulk, bulkAt *series
 	late                lat // the open-loop generator's own timer slack per read
-	samples             []readSample
+	kept                *samples
 	seen                []obs // epochs the reader saw
 	feedSeen            []obs // epochs the change feed delivered
 	gaps                int
@@ -47,12 +44,13 @@ type outcome struct {
 	firstErr            string
 }
 
-// drive runs one measured window of HTTP traffic: a closed-loop writer on
-// its own connection, an open-loop reader on another and, with feed, an
-// SSE subscription on a third. e0 is the epoch the window starts from.
+// drive runs one measured window of HTTP traffic: a writer on its own
+// connection (open loop with writeEvery, else closed loop), an open-loop
+// reader on another and, with feed, an SSE subscription on a third. e0 is
+// the epoch the window starts from.
 func drive(cfg config, s *stream, t traffic, bodies [][]byte, e0 uint64) (*outcome, error) {
 	window := time.Duration(cfg.seconds * float64(time.Second))
-	o := &outcome{point: newSeries(window), bulk: newSeries(window), bulkAt: newSeries(window)}
+	o := &outcome{point: newSeries(window), bulk: newSeries(window), bulkAt: newSeries(window), kept: newSamples(cfg.seed)}
 	var mu sync.Mutex // guards o.firstErr
 	fail := func(err error) {
 		mu.Lock()
@@ -94,11 +92,11 @@ func drive(cfg config, s *stream, t traffic, bodies [][]byte, e0 uint64) (*outco
 			t0 := time.Now()
 			if t.writeEvery > 0 {
 				// Open loop: write k is due at k*writeEvery.
-				if time.Duration(k)*t.writeEvery >= window+t.tail {
+				if time.Duration(k)*t.writeEvery >= window {
 					break
 				}
 				_, t0, _ = pace.next(k)
-			} else if t0.Sub(start) >= window+t.tail {
+			} else if t0.Sub(start) >= window {
 				break
 			}
 			if t.maxWrites > 0 && k >= t.maxWrites {
@@ -153,9 +151,7 @@ func drive(cfg config, s *stream, t traffic, bodies [][]byte, e0 uint64) (*outco
 				err = fmt.Errorf("bulk read of %d vertices returned %d", len(vs), len(resp.Coreness))
 			}
 			if err == nil {
-				for j, v := range vs {
-					o.samples = append(o.samples, readSample{v: v, est: resp.Coreness[j], lo: epoch, hi: epoch, pinned: true, anchor: j == 0})
-				}
+				o.kept.bulk(vs, resp.Coreness, epoch)
 			}
 		case i%8 == 3 && lastEpoch >= e0+4:
 			rec = o.bulkAt
@@ -174,7 +170,7 @@ func drive(cfg config, s *stream, t traffic, bodies [][]byte, e0 uint64) (*outco
 			_, err = rc.do("GET", t.readFrom.base+"/coreness?v="+strconv.FormatUint(uint64(v), 10), nil, &resp)
 			epoch = resp.Epoch
 			if err == nil {
-				o.samples = append(o.samples, readSample{v: v, est: resp.Coreness, lo: epoch, hi: epoch, pinned: true})
+				o.kept.point(readSample{v: v, est: resp.Coreness, lo: epoch, hi: epoch, pinned: true})
 			}
 		}
 		done := time.Now()
@@ -318,7 +314,7 @@ func approxBound() float64 {
 
 // finish reports an HTTP run's end-to-end metrics and checks the final
 // state of writeTo: e0 is the epoch the window started from.
-func finish(r *result, s *stream, cfg config, o *outcome, t traffic, c *client, e0 uint64) (end uint64) {
+func finish(r *result, s *stream, cfg config, o *outcome, t traffic, c *client, e0 uint64) {
 	window := time.Duration(cfg.seconds * float64(time.Second))
 	r.gate(o.firstErr == "", "an operation failed: %s", o.firstErr)
 	r.Attempted += int64(o.point.count() + o.bulk.count() + o.bulkAt.count())
@@ -326,7 +322,7 @@ func finish(r *result, s *stream, cfg config, o *outcome, t traffic, c *client, 
 	st, err := c.stats(t.writeTo)
 	if err != nil {
 		r.gate(false, "final /stats: %v", err)
-		return 0
+		return
 	}
 	// Every write commits the same number of epochs (an insert and a
 	// delete sub-batch), so write k ends at e0 + step*(k+1).
@@ -342,15 +338,9 @@ func finish(r *result, s *stream, cfg config, o *outcome, t traffic, c *client, 
 	}
 	reportWrites(r, o.writes, window)
 	reportReads(r, o.point, o.bulk, o.bulkAt)
-	seen := o.seen // with a feed, visibility is when the feed delivered the epoch
-	if t.feed {
-		seen = o.feedSeen
-	}
-	reportVisibility(r, o.writes, window, seen)
-	reportErrors(r, s, h, o.samples, approxBound())
+	reportVisibility(r, o.writes, window, o.seen)
+	reportErrors(r, s, h, o.kept, approxBound())
 	r.gate(st.Edges == windowEdges, "final edge count %d, want %d", st.Edges, windowEdges)
-	r.gate(o.gaps == 0, "%d change-feed gap markers", o.gaps)
-	r.Failed += int64(o.gaps)
 	fmt.Printf("# open-loop reads: %d per second, lateness p50 %.4g us, p99 %.4g us\n",
 		int(t.readRate), o.late.quantile(0.5)/1e3, o.late.quantile(0.99)/1e3)
 
@@ -366,7 +356,7 @@ func finish(r *result, s *stream, cfg config, o *outcome, t traffic, c *client, 
 	}
 	if _, err := c.do("POST", t.writeTo.base+"/coreness/bulk", bulkBody(all, int64(st.Epoch)), &resp); err != nil {
 		r.gate(false, "final bulk read: %v", err)
-		return st.Epoch
+		return
 	}
 	exact := kcore.Static(s.n, s.live(len(o.writes), false))
 	bad := 0
@@ -376,7 +366,6 @@ func finish(r *result, s *stream, cfg config, o *outcome, t traffic, c *client, 
 		}
 	}
 	r.gate(len(resp.Coreness) == s.n && bad == 0, "final state: %d of %d estimates outside the bound", bad, len(resp.Coreness))
-	return st.Epoch
 }
 
 // writeBodies pre-encodes one period of the write stream (it repeats).
@@ -388,7 +377,7 @@ func writeBodies(s *stream) [][]byte {
 	return bodies
 }
 
-// runHTTPReadHeavy drives one loopback kcore-server: a closed-loop writer
+// runHTTPReadHeavy drives one loopback kcore-server: an open-loop writer
 // of 5k+5k batches and an open-loop reader of Zipf-skewed vertices.
 func runHTTPReadHeavy(cfg config, s *stream, r *result) error {
 	basePath, err := writeBaseFile(cfg, s)
@@ -427,112 +416,5 @@ func runHTTPReadHeavy(cfg config, s *stream, r *result) error {
 	}
 	r.set("peak_rss_mb", "MiB", srv.peakRSS())
 	finish(r, s, cfg, o, t, c, st.Epoch)
-	return nil
-}
-
-// runDurable drives a WAL-backed primary (fsync always) and a follower:
-// a closed-loop writer of small 100+100 batches to the primary, the
-// change feed of the follower, and open-loop reads of the follower.
-func runDurable(cfg config, s *stream, r *result) error {
-	basePath, err := writeBaseFile(cfg, s)
-	if err != nil {
-		return err
-	}
-	bodies := writeBodies(s)
-	c := newClient(60 * time.Second)
-	defer c.close()
-	var setups []float64
-	var primary, follower *serverProc
-	stopAll := func() {
-		if follower != nil {
-			follower.stop()
-		}
-		if primary != nil {
-			primary.stop()
-		}
-	}
-	defer stopAll()
-	for i := 0; i < setupReps; i++ {
-		stopAll()
-		walDir := filepath.Join(cfg.dir, fmt.Sprintf("wal-%d", i))
-		if err := os.MkdirAll(walDir, 0o755); err != nil {
-			return err
-		}
-		replAddr, err := freeAddr()
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		primary, err = startServer(cfg, "primary", "-shards", "1", "-load", basePath,
-			"-wal", walDir, "-fsync", cfg.fsync, "-replicate-listen", replAddr)
-		if err != nil {
-			return err
-		}
-		follower, err = startServer(cfg, "follower", "-shards", "1", "-retain", "64", "-replicate-from", replAddr)
-		if err != nil {
-			return err
-		}
-		st, err := c.stats(primary)
-		if err != nil {
-			return err
-		}
-		if err := waitEpoch(c, follower, st.Epoch, 60*time.Second); err != nil {
-			return err
-		}
-		setups = append(setups, time.Since(t0).Seconds())
-	}
-	fmt.Printf("# set-ups: %.4g s\n", setups)
-	r.set("setup_s", "s", median(setups))
-
-	st, err := c.stats(primary)
-	if err != nil {
-		return err
-	}
-	r.gate(st.Edges == windowEdges, "set-up loaded %d of %d edges", st.Edges, windowEdges)
-	r.gate(st.Durability != nil, "primary reports no durability block")
-	if st.Durability == nil {
-		return nil
-	}
-	logged0 := st.Durability.LoggedBatches
-	t := traffic{writeTo: primary, readFrom: follower, readRate: 200, writeEvery: 20 * time.Millisecond, tail: 300 * time.Millisecond, feed: true}
-	o, err := drive(cfg, s, t, bodies, st.Epoch)
-	if err != nil {
-		return err
-	}
-	r.set("peak_rss_mb", "MiB", primary.peakRSS()+follower.peakRSS())
-	end := finish(r, s, cfg, o, t, c, st.Epoch)
-
-	// The follower serves byte-identical reads at the same epoch, and the
-	// log holds exactly the acknowledged writes.
-	if err := waitEpoch(c, follower, end, 30*time.Second); err != nil {
-		r.gate(false, "%v", err)
-		return nil
-	}
-	all := make([]uint32, s.n)
-	for i := range all {
-		all[i] = uint32(i)
-	}
-	body := bulkBody(all, int64(end))
-	pb, perr := c.do("POST", primary.base+"/coreness/bulk", body, nil)
-	fb, ferr := c.do("POST", follower.base+"/coreness/bulk", body, nil)
-	r.gate(perr == nil && ferr == nil && string(pb) == string(fb),
-		"primary and follower differ at epoch %d (%v, %v)", end, perr, ferr)
-	acked := 0
-	for _, w := range o.writes {
-		if w.ok {
-			acked++
-		}
-	}
-	if st, err := c.stats(primary); err != nil || st.Durability == nil {
-		r.gate(false, "final primary /stats: %v", err)
-	} else {
-		r.gate(st.Durability.LoggedBatches-logged0 == uint64(acked),
-			"logged %d batches for %d acknowledged writes", st.Durability.LoggedBatches-logged0, acked)
-	}
-	if fst, err := c.stats(follower); err != nil {
-		r.gate(false, "final follower /stats: %v", err)
-	} else {
-		r.gate(fst.Feed.Gaps == 0, "follower feed counted %d gaps", fst.Feed.Gaps)
-	}
 	return nil
 }

@@ -1,5 +1,5 @@
 // Command perfbench is the repository's end-to-end benchmark of the k-core
-// service. It generates a seeded op stream, drives one of three workloads
+// service. It generates a seeded op stream, drives one of two workloads
 // against the public kcore API or a real kcore-server, checks the answers
 // against exact coreness, and prints one JSON result line last:
 //
@@ -60,31 +60,29 @@ type config struct {
 	seconds  float64
 	server   string // kcore-server binary
 	dir      string // working directory of this run, inside the checkout
-	fsync    string // WAL fsync policy the workload runs with
 }
 
 type workload struct {
 	name  string
 	batch int // inserts (and deletes) per write
 	zipf  bool
-	fsync string
 	run   func(cfg config, s *stream, r *result) error
 	trace func(cfg config, s *stream, r *result) error
 }
 
 var workloads = []workload{
-	{name: "lib_sliding", batch: 5000, fsync: "none", run: runLib, trace: traceLadder},
-	{name: "http_read_heavy", batch: 5000, zipf: true, fsync: "none", run: runHTTPReadHeavy, trace: traceLadder},
-	{name: "durable_replicated", batch: 100, zipf: true, fsync: "always", run: runDurable, trace: traceLadder},
+	{name: "lib_sliding", batch: 5000, run: runLib, trace: traceLadder},
+	{name: "http_read_heavy", batch: 5000, zipf: true, run: runHTTPReadHeavy, trace: traceLadder},
 }
 
 func main() {
-	name := flag.String("workload", "", "workload to run: lib_sliding, http_read_heavy or durable_replicated")
+	name := flag.String("workload", "", "workload to run: lib_sliding or http_read_heavy")
 	seed := flag.Int64("seed", 1, "seed of the generated inputs")
 	seconds := flag.Float64("seconds", 10, "length of the measured window in seconds")
 	trace := flag.Int("trace", 0, "1 runs the traced per-layer ladder instead of the end-to-end run")
 	server := flag.String("server", "", "kcore-server binary (run.sh builds it)")
 	workdir := flag.String("workdir", ".bench_build", "directory for run files")
+	child := flag.Bool(setupChild, false, "time one in-process set-up of the workload and exit")
 	flag.Parse()
 
 	var w *workload
@@ -93,8 +91,11 @@ func main() {
 			w = &workloads[i]
 		}
 	}
+	if w != nil && *child {
+		os.Exit(timeSetup(newStream(*seed, w.batch, w.zipf)))
+	}
 	if w == nil || *seconds <= 0 || (*trace != 0 && *trace != 1) || *server == "" {
-		fmt.Fprintln(os.Stderr, "perfbench: need -server, -workload (lib_sliding, http_read_heavy, durable_replicated), -seconds > 0 and -trace 0|1")
+		fmt.Fprintln(os.Stderr, "perfbench: need -server, -workload (lib_sliding, http_read_heavy), -seconds > 0 and -trace 0|1")
 		os.Exit(2)
 	}
 	dir, err := os.MkdirTemp(*workdir, "run-")
@@ -102,7 +103,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
 	}
-	code := run(*w, config{workload: w.name, seed: *seed, seconds: *seconds, server: *server, dir: dir, fsync: w.fsync}, *trace == 1)
+	code := run(*w, config{workload: w.name, seed: *seed, seconds: *seconds, server: *server, dir: dir}, *trace == 1)
 	os.RemoveAll(dir)
 	os.Exit(code)
 }
@@ -111,7 +112,13 @@ func run(w workload, cfg config, traced bool) int {
 	s := newStream(cfg.seed, w.batch, w.zipf)
 	fmt.Printf("# input: workload=%s seed=%d fingerprint=%016x vertices=%d edges=%d window=%d batch=%d+%d\n",
 		cfg.workload, cfg.seed, s.fingerprint(cfg.workload), s.n, len(s.seq), windowEdges, s.batch, s.batch)
-	env, _ := json.Marshal(environment(cfg.fsync))
+	// The end-to-end workloads keep no log; the traced ladder's wal and
+	// replica rungs fsync every batch.
+	fsync := "none"
+	if traced {
+		fsync = "always"
+	}
+	env, _ := json.Marshal(environment(fsync))
 	fmt.Printf("# env: %s\n", env)
 
 	r := newResult()
@@ -179,8 +186,9 @@ func cpuModel() string {
 	return "unknown"
 }
 
-// peakRSSMB returns VmHWM of a process ("self" or a pid) in MiB.
-func peakRSSMB(pid string) float64 {
+// procStatusMB returns a memory field of /proc/<pid>/status, such as VmHWM
+// (peak resident set) or VmRSS, in MiB; pid is "self" or a process id.
+func procStatusMB(pid, field string) float64 {
 	f, err := os.Open(filepath.Join("/proc", pid, "status"))
 	if err != nil {
 		return math.NaN()
@@ -188,7 +196,7 @@ func peakRSSMB(pid string) float64 {
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(sc.Text(), "VmHWM:"); ok {
+		if rest, ok := strings.CutPrefix(sc.Text(), field+":"); ok {
 			kb, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 64)
 			if err != nil {
 				return math.NaN()

@@ -111,7 +111,7 @@ func (p *serverProc) stop() {
 	}
 }
 
-func (p *serverProc) peakRSS() float64 { return peakRSSMB(strconv.Itoa(p.cmd.Process.Pid)) }
+func (p *serverProc) peakRSS() float64 { return procStatusMB(strconv.Itoa(p.cmd.Process.Pid), "VmHWM") }
 
 // serverStats is the part of /stats the benchmark reads.
 type serverStats struct {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"time"
 )
@@ -39,6 +40,15 @@ func (l *lat) add(d time.Duration) {
 }
 
 func (l *lat) count() int { return l.n }
+
+// reserve allocates and touches the one-nanosecond buckets now, so that
+// recording later neither allocates nor grows the process's memory.
+func (l *lat) reserve() {
+	if l.lin == nil {
+		l.lin = make([]uint64, linearMax)
+	}
+	clear(l.lin)
+}
 
 // quantile returns the nearest-rank p-quantile in nanoseconds. Inside a
 // one-nanosecond bucket the samples are taken as spread evenly over the
@@ -133,14 +143,96 @@ func (s *series) add(at, d time.Duration) {
 
 func (s *series) count() int { return s.all.count() }
 
+// reserve allocates every bucket of the series up front (see lat.reserve).
+func (s *series) reserve() *series {
+	for i := range s.part {
+		s.part[i].reserve()
+	}
+	s.all.reserve()
+	return s
+}
+
 // quantile is the median over sub-windows of each one's p-quantile, in
 // nanoseconds.
-func (s *series) quantile(p float64) float64 {
+func (s *series) quantile(p float64) float64 { return median(s.parts(p)) }
+
+// parts returns each non-empty sub-window's p-quantile in nanoseconds, in
+// time order.
+func (s *series) parts(p float64) []float64 {
 	var qs []float64
 	for i := range s.part {
 		if s.part[i].count() > 0 {
 			qs = append(qs, s.part[i].quantile(p))
 		}
 	}
-	return median(qs)
+	return qs
+}
+
+// reservoir keeps a uniform sample of fixed size from a stream of groups
+// of width items each; a group is kept or dropped whole. Its memory is
+// allocated and touched when it is made, so the harness's footprint does
+// not grow with throughput or run length.
+type reservoir struct {
+	rng   *rand.Rand
+	buf   []readSample // kept groups, back to back
+	width int
+	seen  int // groups offered
+}
+
+func newReservoir(rng *rand.Rand, groups, width int) *reservoir {
+	buf := make([]readSample, groups*width)
+	clear(buf)
+	return &reservoir{rng: rng, buf: buf[:0], width: width}
+}
+
+// add offers one group of r.width samples.
+func (r *reservoir) add(group []readSample) {
+	r.seen++
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, group...)
+		return
+	}
+	if j := r.rng.Intn(r.seen); j < cap(r.buf)/r.width {
+		copy(r.buf[j*r.width:], group)
+	}
+}
+
+// Graded reads kept per run: point reads singly, bulk reads whole.
+const (
+	keptPoints = 1 << 15
+	keptBulks  = 1 << 9
+)
+
+// samples is the fixed-size set of reads a run grades.
+type samples struct {
+	points, bulks *reservoir
+	group         []readSample // scratch for one bulk read
+}
+
+func newSamples(seed int64) *samples {
+	rng := rand.New(rand.NewSource(seed))
+	return &samples{
+		points: newReservoir(rng, keptPoints, 1),
+		bulks:  newReservoir(rng, keptBulks, bulkSize),
+		group:  make([]readSample, bulkSize),
+	}
+}
+
+// point offers one point read.
+func (s *samples) point(sm readSample) {
+	s.group[0] = sm
+	s.points.add(s.group[:1])
+}
+
+// bulk offers one epoch-pinned bulk read of vs at epoch.
+func (s *samples) bulk(vs []uint32, est []float64, epoch uint64) {
+	for j, v := range vs {
+		s.group[j] = readSample{v: v, est: est[j], lo: epoch, hi: epoch, pinned: true, anchor: j == 0}
+	}
+	s.bulks.add(s.group)
+}
+
+// all returns a copy of every kept sample.
+func (s *samples) all() []readSample {
+	return append(append([]readSample(nil), s.points.buf...), s.bulks.buf...)
 }

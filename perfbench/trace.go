@@ -343,6 +343,9 @@ func traceServers(cfg config, s *stream, r *result, n int, below *pass) error {
 	if err != nil {
 		return err
 	}
+	if pst.Durability == nil {
+		return errors.New("replica rung: the primary reports no durability block")
+	}
 	if err := waitEpoch(c, follower, pst.Epoch, 60*time.Second); err != nil {
 		return err
 	}
@@ -389,6 +392,32 @@ func traceServers(cfg config, s *stream, r *result, n int, below *pass) error {
 	r.set("feed.events_per_epoch", "count", float64(fst.Feed.Events)/float64(max(fst.Feed.Epochs, 1)))
 	r.set("feed.gaps", "count", float64(o.gaps+int(fst.Feed.Gaps)))
 	r.Failed += int64(o.gaps)
+	r.gate(o.gaps == 0 && fst.Feed.Gaps == 0, "replica rung: %d gap markers on the stream, %d counted by the follower's feed", o.gaps, fst.Feed.Gaps)
+
+	// The follower serves byte-identical reads of every vertex at the
+	// primary's final epoch, and the log holds exactly the acknowledged
+	// writes.
+	all := make([]uint32, s.n)
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	body := bulkBody(all, int64(pst2.Epoch))
+	pb, perr := c.do("POST", primary.base+"/coreness/bulk", body, nil)
+	fb, ferr := c.do("POST", follower.base+"/coreness/bulk", body, nil)
+	r.gate(perr == nil && ferr == nil && string(pb) == string(fb),
+		"replica rung: primary and follower differ at epoch %d (%v, %v)", pst2.Epoch, perr, ferr)
+	acked := 0
+	for _, w := range o.writes {
+		if w.ok {
+			acked++
+		}
+	}
+	if pst2.Durability == nil {
+		r.gate(false, "replica rung: the primary's final /stats has no durability block")
+	} else {
+		logged := pst2.Durability.LoggedBatches - pst.Durability.LoggedBatches
+		r.gate(logged == uint64(acked), "replica rung: logged %d batches for %d acknowledged writes", logged, acked)
+	}
 	return nil
 }
 
