@@ -55,10 +55,9 @@ import (
 	"syscall"
 	"time"
 
+	"kcore"
 	"kcore/internal/faultfs"
 	"kcore/internal/graph"
-	"kcore/internal/lds"
-	"kcore/internal/replica"
 	"kcore/internal/server"
 	"kcore/internal/wal"
 )
@@ -72,7 +71,7 @@ func main() {
 	batch := flag.Int("batch", 100000, "startup-load batch size")
 	shards := flag.Int("shards", 1, "number of engine shards (concurrent update batches scale per shard)")
 	maxBatch := flag.Int("maxbatch", server.DefaultMaxBatchEdges, "max edges accepted per /edges/batch request")
-	retain := flag.Int("retain", server.DefaultRetainedEpochs,
+	retain := flag.Int("retain", kcore.DefaultRetainedEpochs,
 		"retired epochs kept readable for ?epoch= reads (0 disables)")
 	walDir := flag.String("wal", "", "write-ahead log directory (empty disables durability)")
 	snapEvery := flag.Uint64("snapshot-every", 0,
@@ -108,38 +107,29 @@ func main() {
 		"TESTING ONLY: inject a failure into the next N WAL fsyncs (-1 = forever)")
 	flag.Parse()
 
-	opts := []server.Option{
-		server.WithShards(*shards), server.WithMaxBatchEdges(*maxBatch),
-		server.WithRetainedEpochs(*retain),
-		server.WithRequestTimeout(*reqTimeout),
-		server.WithMinEpochWait(*minEpochWait),
-		server.WithMaxSubscribers(*maxSubs),
-		server.WithEventBuffer(*eventBuffer),
-		server.WithFeedHeartbeat(*feedHeartbeat),
+	// Non-positive shard, retention, subscriber and buffer flags mean the
+	// default or off; kcore.New rejects negative values, so clamp them.
+	opts := []kcore.Option{
+		kcore.WithParams(kcore.Params{Delta: *delta, Lambda: *lambda}),
+		kcore.WithShards(max(*shards, 1)),
+		kcore.WithRetainedEpochs(max(*retain, 0)),
+		kcore.WithMaxSubscribers(max(*maxSubs, 0)),
+		kcore.WithEventBuffer(max(*eventBuffer, 0)),
 	}
 	if *replListen != "" {
-		opts = append(opts, server.WithReplicationListen(*replListen))
-		if *replRetain != 0 {
-			opts = append(opts, server.WithReplicationOptions(
-				replica.FeederOptions{RetainBatches: *replRetain}, replica.FollowerOptions{}))
-		}
+		opts = append(opts, kcore.WithReplicationListen(*replListen),
+			kcore.WithReplicationOptions(kcore.ReplicationOptions{RetainBatches: *replRetain}))
 	}
 	if *replFrom != "" {
-		opts = append(opts, server.WithReplicationSource(*replFrom))
-	}
-	if *rateLimit > 0 {
-		opts = append(opts, server.WithRateLimit(*rateLimit, *rateBurst))
-	}
-	if *maxInFlight > 0 {
-		opts = append(opts, server.WithMaxInFlight(*maxInFlight))
+		opts = append(opts, kcore.WithReplicationSource(*replFrom))
 	}
 	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*fsync)
 		if err != nil {
 			log.Fatalf("kcore-server: %v", err)
 		}
-		wo := wal.Options{
-			Sync:          policy,
+		wo := kcore.WALOptions{
+			Sync:          kcore.SyncPolicy(policy),
 			SyncEvery:     *fsyncEvery,
 			SnapshotEvery: *snapEvery,
 			ReattachEvery: *reattachEvery,
@@ -153,28 +143,35 @@ func main() {
 			wo.FS = inj
 			log.Printf("kcore-server: FAULT INJECTION armed: failing %d fsync(s)", *faultFsync)
 		}
-		opts = append(opts, server.WithWAL(*walDir, wo))
+		opts = append(opts, kcore.WithWAL(*walDir, wo))
 	}
 	if *load != "" && *replFrom != "" {
 		log.Fatal("kcore-server: -load on a replica would fork it from the primary; load on the primary instead")
 	}
-	srv, err := server.New(*n, lds.Params{Delta: *delta, Lambda: *lambda}, opts...)
+	d, err := kcore.New(*n, opts...)
 	if err != nil {
 		log.Fatalf("kcore-server: %v", err)
 	}
 	if *load != "" {
-		if err := loadFile(srv, *load, *batch); err != nil {
+		if err := loadFile(d, *load, *batch); err != nil {
 			log.Fatalf("kcore-server: %v", err)
 		}
 	}
 	switch {
 	case *replListen != "":
-		log.Printf("kcore-server: replication primary, shipping on %s", srv.ReplicationAddr())
+		log.Printf("kcore-server: replication primary, shipping on %s", d.ReplicationAddr())
 	case *replFrom != "":
 		log.Printf("kcore-server: read-only replica of %s (synced)", *replFrom)
 	}
-	log.Printf("kcore-server: %d vertices, %d shard(s), listening on %s", *n, *shards, *addr)
+	log.Printf("kcore-server: %d vertices, %d shard(s), listening on %s", *n, d.Shards(), *addr)
 
+	srv := server.New(d,
+		server.WithMaxBatchEdges(*maxBatch),
+		server.WithRateLimit(*rateLimit, *rateBurst),
+		server.WithMaxInFlight(*maxInFlight),
+		server.WithRequestTimeout(*reqTimeout),
+		server.WithMinEpochWait(*minEpochWait),
+		server.WithFeedHeartbeat(*feedHeartbeat))
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, syscall.SIGINT, syscall.SIGTERM)
@@ -184,7 +181,7 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = hs.Shutdown(ctx) // drain in-flight updates before closing the log
-		if err := srv.Close(); err != nil {
+		if err := d.Close(); err != nil {
 			log.Printf("kcore-server: closing WAL: %v", err)
 		}
 	}()
@@ -193,22 +190,23 @@ func main() {
 	}
 }
 
-func loadFile(srv *server.Server, path string, batch int) error {
+func loadFile(d *kcore.Decomposition, path string, batch int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	edges, _, err := graph.ReadEdgeList(f)
+	parsed, _, err := graph.ReadEdgeList(f)
 	if err != nil {
 		return err
 	}
+	edges := make([]kcore.Edge, len(parsed))
+	for i, e := range parsed {
+		edges[i] = kcore.Edge{U: e.U, V: e.V}
+	}
 	for lo := 0; lo < len(edges); lo += batch {
-		hi := lo + batch
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		n := srv.InsertBatch(edges[lo:hi])
+		hi := min(lo+batch, len(edges))
+		n := d.InsertEdges(edges[lo:hi])
 		log.Printf("loaded batch %d..%d (%d applied)", lo, hi, n)
 	}
 	fmt.Println("load complete")

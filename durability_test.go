@@ -1,6 +1,7 @@
 package kcore
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -8,7 +9,9 @@ import (
 	"sync"
 	"testing"
 
+	"kcore/internal/lds"
 	"kcore/internal/shard"
+	"kcore/internal/wal"
 )
 
 // scriptOp is one replayable update batch of the recovery tests.
@@ -133,6 +136,98 @@ func testRecoveryClean(t *testing.T, shards int) {
 
 func TestWALRecoverySingle(t *testing.T)  { testRecoveryClean(t, 1) }
 func TestWALRecoverySharded(t *testing.T) { testRecoveryClean(t, 4) }
+
+// TestWALOneRecordPerApplyBatch pins that at one shard every update call
+// — an ApplyBatch naming both lists included — appends exactly one log
+// record (the sharded engine likewise logs one record per coalesced
+// round), and that those two-sub-batch records recover exactly.
+func TestWALOneRecordPerApplyBatch(t *testing.T) {
+	const n = 200
+	dir := t.TempDir()
+	script := randScript(n, 8, 40, 3)
+	d1, err := New(n, WithWAL(dir, WALOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range script {
+		before, _ := d1.DurabilityStats()
+		d1.ApplyBatch(op.ins, op.del)
+		after, _ := d1.DurabilityStats()
+		if after.LoggedBatches != before.LoggedBatches+1 {
+			t.Fatalf("ApplyBatch %d (%d ins, %d del) logged %d records, want 1",
+				i, len(op.ins), len(op.del), after.LoggedBatches-before.LoggedBatches)
+		}
+	}
+	want := captureState(d1)
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := New(n, WithWAL(dir, WALOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	requireSameState(t, captureState(d2), want, "recovered")
+}
+
+// TestWALRecoversOneShardEngineLog recovers a log directory written
+// through a one-shard sharded engine — mixed rounds, a snapshot mid-way
+// and a log tail after it — under New(WithWAL): the recovered
+// decomposition reaches the same epoch and serves byte-identical reads at
+// it.
+func TestWALRecoversOneShardEngineLog(t *testing.T) {
+	const n = 200
+	dir := t.TempDir()
+	script := randScript(n, 10, 40, 4)
+	eng := shard.New(n, 1, lds.DefaultParams())
+	m, err := wal.Open(dir, eng, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range script {
+		eng.Apply(toInternal(op.ins), toInternal(op.del))
+		if i == len(script)/2 {
+			if err := m.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := make([]float64, n)
+	epoch := eng.ReadAllPinned(want)
+	edges := eng.NumEdges()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := New(n, WithWAL(dir, WALOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if d.Epoch() != epoch || d.NumEdges() != edges {
+		t.Fatalf("recovered epoch %d with %d edges, want %d with %d", d.Epoch(), d.NumEdges(), epoch, edges)
+	}
+	v, err := d.ViewAt(epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]uint32, n)
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	got := v.CorenessMany(all)
+	if err := v.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("vertex %d at epoch %d: recovered %v, written %v", i, epoch, got[i], want[i])
+		}
+	}
+	if err := d.Check(); err != nil {
+		t.Fatalf("recovered invariants: %v", err)
+	}
+}
 
 // lastSegment returns the path of the highest-sequence log segment.
 func lastSegment(t *testing.T, dir string) string {

@@ -17,11 +17,11 @@ import (
 
 // engine is the single dispatch point between the two Decomposition
 // backends: the single-CPLDS engine (the paper's data structure, full
-// global approximation guarantee, one updater at a time) and the sharded
-// engine (hash-partitioned CPLDS instances behind a batch-coalescing
-// scheduler, concurrent updaters, per-shard guarantee). Every public
-// Decomposition and View method routes through this interface; no method
-// branches on the backend.
+// global approximation guarantee, concurrent updaters serialize) and the
+// sharded engine (hash-partitioned CPLDS instances behind a
+// batch-coalescing scheduler, concurrent updaters coalesce, per-shard
+// guarantee). Every public Decomposition and View method routes through
+// this interface; no method branches on the backend.
 //
 // The read triple mirrors the paper's three protocols (linearizable
 // lock-free, instantaneous NonSync, blocking SyncReads); the pinned
@@ -93,15 +93,15 @@ var (
 
 // singleEngine adapts one CPLDS to the engine interface. It also keeps the
 // cumulative applied-edge counters the sharded engine tracks per shard, so
-// Stats reports the same metrics in both modes.
+// Stats reports the same metrics in both modes, and the live edge count as
+// an atomic, so NumEdges and Stats are safe concurrently with a batch.
 type singleEngine struct {
-	c        *cplds.CPLDS
-	ins, del atomic.Int64
+	c               *cplds.CPLDS
+	ins, del, edges atomic.Int64
 
-	// mu serializes update batches. The public contract already demands
-	// one updater at a time; the lock exists so the durability subsystem
-	// can quiesce the engine (snapshots) without a contract change, and
-	// costs one uncontended lock per batch otherwise.
+	// mu serializes update calls: concurrent updaters queue on it (the
+	// CPLDS runs one batch at a time), and the durability subsystem uses
+	// it to quiesce the engine for snapshots.
 	mu       sync.Mutex
 	batchLog func(wal.Batch)
 }
@@ -112,60 +112,64 @@ func newSingleEngine(n int, params lds.Params) *singleEngine {
 
 func (s *singleEngine) NumVertices() int      { return s.c.NumVertices() }
 func (s *singleEngine) NumShards() int        { return 1 }
-func (s *singleEngine) NumEdges() int64       { return s.c.Graph().NumEdges() }
+func (s *singleEngine) NumEdges() int64       { return s.edges.Load() }
 func (s *singleEngine) ApproxFactor() float64 { return s.c.S.ApproxFactor() }
 func (s *singleEngine) Batches() uint64       { return s.c.BatchNumber() }
 func (s *singleEngine) Epoch() uint64         { return s.c.Epoch() }
 
 func (s *singleEngine) Insert(edges []graph.Edge) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.insertLocked(edges)
+	ins, _ := s.apply(wal.Batch{Ins: edges, HasIns: true})
+	return ins
 }
 
 func (s *singleEngine) Delete(edges []graph.Edge) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deleteLocked(edges)
+	_, del := s.apply(wal.Batch{Del: edges, HasDel: true})
+	return del
 }
 
 func (s *singleEngine) Apply(insertions, deletions []graph.Edge) (inserted, deleted int) {
+	return s.apply(wal.Batch{Ins: insertions, Del: deletions,
+		HasIns: len(insertions) > 0, HasDel: len(deletions) > 0})
+}
+
+// apply runs one update call under the update lock — the insertion
+// sub-batch, then the deletion sub-batch, each committing its own epoch
+// (an empty sub-batch that is present still commits one, so recovery
+// must reproduce it) — and logs the call as one record stamped with the
+// final epoch, as the sharded engine logs one record per round.
+func (s *singleEngine) apply(b wal.Batch) (inserted, deleted int) {
+	if !b.HasIns && !b.HasDel {
+		return 0, 0
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(insertions) > 0 {
-		inserted = s.insertLocked(insertions)
-	}
-	if len(deletions) > 0 {
-		deleted = s.deleteLocked(deletions)
+	inserted, deleted = s.applyLocked(b)
+	if s.batchLog != nil {
+		b.Epoch = s.c.Epoch()
+		s.batchLog(b)
 	}
 	return inserted, deleted
 }
 
-// insertLocked applies one insertion batch and logs it. An empty batch
-// still commits an epoch (the CPLDS always runs its batch protocol), so
-// it is still logged — recovery must reproduce the epoch sequence
-// exactly. Caller holds s.mu.
-func (s *singleEngine) insertLocked(edges []graph.Edge) int {
-	applied := s.c.InsertBatch(edges)
-	s.ins.Add(int64(applied))
-	if s.batchLog != nil {
-		s.batchLog(wal.Batch{Shard: 0, Epoch: s.c.Epoch(), Ins: edges, HasIns: true})
+// applyLocked applies b's sub-batches and maintains the counters. The
+// caller holds s.mu or is the single-threaded recovery path.
+func (s *singleEngine) applyLocked(b wal.Batch) (inserted, deleted int) {
+	if b.HasIns {
+		inserted = s.c.InsertBatch(b.Ins)
+		s.ins.Add(int64(inserted))
+		s.edges.Add(int64(inserted))
 	}
-	return applied
-}
-
-func (s *singleEngine) deleteLocked(edges []graph.Edge) int {
-	applied := s.c.DeleteBatch(edges)
-	s.del.Add(int64(applied))
-	if s.batchLog != nil {
-		s.batchLog(wal.Batch{Shard: 0, Epoch: s.c.Epoch(), Del: edges, HasDel: true})
+	if b.HasDel {
+		deleted = s.c.DeleteBatch(b.Del)
+		s.del.Add(int64(deleted))
+		s.edges.Add(-int64(deleted))
 	}
-	return applied
+	return inserted, deleted
 }
 
 // --- wal.Engine (durability) ---
 
-// SetBatchLog installs the per-batch durability hook (nil uninstalls).
+// SetBatchLog installs the per-call durability hook (nil uninstalls).
 // Called before the engine serves updates, or under Quiesce.
 func (s *singleEngine) SetBatchLog(fn func(wal.Batch)) { s.batchLog = fn }
 
@@ -177,16 +181,9 @@ func (s *singleEngine) Quiesce(f func()) {
 	f()
 }
 
-// ApplyLogged re-applies one logged batch without re-logging it.
-// Single-threaded recovery use only.
-func (s *singleEngine) ApplyLogged(b wal.Batch) {
-	if b.HasIns {
-		s.ins.Add(int64(s.c.InsertBatch(b.Ins)))
-	}
-	if b.HasDel {
-		s.del.Add(int64(s.c.DeleteBatch(b.Del)))
-	}
-}
+// ApplyLogged re-applies one logged record without re-logging it.
+// Recovery and replication use only (the follower holds Quiesce).
+func (s *singleEngine) ApplyLogged(b wal.Batch) { s.applyLocked(b) }
 
 // ShardDurable captures the engine's durable state (there is exactly one
 // shard). Must run inside a Quiesce section.
@@ -215,6 +212,7 @@ func (s *singleEngine) RestoreShard(_ int, st wal.ShardState) error {
 	}
 	s.ins.Store(st.Inserted)
 	s.del.Store(st.Deleted)
+	s.edges.Store(s.c.Graph().NumEdges())
 	return nil
 }
 
@@ -288,8 +286,8 @@ func (s *singleEngine) Stats() []shard.Stats {
 	return []shard.Stats{{
 		Shard:         0,
 		OwnedVertices: s.c.NumVertices(),
-		PrimaryEdges:  s.c.Graph().NumEdges(),
-		LocalEdges:    s.c.Graph().NumEdges(),
+		PrimaryEdges:  s.edges.Load(),
+		LocalEdges:    s.edges.Load(),
 		Batches:       s.c.BatchNumber(),
 		Inserted:      s.ins.Load(),
 		Deleted:       s.del.Load(),

@@ -302,8 +302,10 @@ func (f *Feeder) handleStream(w http.ResponseWriter, r *http.Request) {
 	if err := c.writeVectorFrame(frameEnd, c.vec); err != nil {
 		return
 	}
-	flusher.Flush()
+	// Count the bootstrap before the flush releases the end frame: once
+	// the follower can finish syncing, the counter already shows it.
 	f.bootstraps.Add(1)
+	flusher.Flush()
 
 	f.serveTail(r.Context(), c, tail)
 }
@@ -378,8 +380,8 @@ func (f *Feeder) handleResume(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	f.resumes.Add(1) // before the flush, as for bootstraps
 	flusher.Flush()
-	f.resumes.Add(1)
 
 	f.serveTail(r.Context(), c, tail)
 }

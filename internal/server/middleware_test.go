@@ -9,22 +9,17 @@ import (
 	"testing"
 	"time"
 
+	"kcore"
 	"kcore/internal/faultfs"
-	"kcore/internal/lds"
-	"kcore/internal/wal"
 )
 
 // newTestService builds the Server (for direct access to gates, counters
-// and the WAL) alongside its httptest frontend.
-func newTestService(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
+// and the Decomposition) alongside its httptest frontend.
+func newTestService(t *testing.T, kopts []kcore.Option, opts ...Option) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(100, lds.DefaultParams(), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := New(newTestDecomposition(t, kopts...), opts...)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	t.Cleanup(func() { s.Close() })
 	return s, ts
 }
 
@@ -38,7 +33,7 @@ func decodeError(t *testing.T, resp *http.Response) errorResponse {
 }
 
 func TestStructuredErrorBodies(t *testing.T) {
-	_, ts := newTestService(t)
+	_, ts := newTestService(t, nil)
 	post(t, ts.URL+"/edges/insert", triangleBody())
 	cases := []struct {
 		name, method, path, body string
@@ -84,7 +79,7 @@ func TestStructuredErrorBodies(t *testing.T) {
 }
 
 func TestErrorBodySizeLimits(t *testing.T) {
-	_, ts := newTestService(t, WithMaxBatchEdges(2))
+	_, ts := newTestService(t, nil, WithMaxBatchEdges(2))
 	resp := post(t, ts.URL+"/edges/insert", "0 1\n1 2\n2 3\n")
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
@@ -102,10 +97,7 @@ func TestErrorBodySizeLimits(t *testing.T) {
 }
 
 func TestPanicRecoveryMiddleware(t *testing.T) {
-	s, err := New(10, lds.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := New(newTestDecomposition(t))
 	h := s.recoverMiddleware(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("handler bug")
 	}))
@@ -179,7 +171,7 @@ func TestRateLimiterEvictionBound(t *testing.T) {
 func TestRateLimitEndToEnd(t *testing.T) {
 	// 0.001 rps: refill over the test's lifetime is negligible, so exactly
 	// burst requests succeed.
-	s, ts := newTestService(t, WithRateLimit(0.001, 3))
+	s, ts := newTestService(t, nil, WithRateLimit(0.001, 3))
 	okCount, limited := 0, 0
 	for i := 0; i < 6; i++ {
 		resp := get(t, ts.URL+"/coreness?v=0")
@@ -218,7 +210,7 @@ func TestRateLimitEndToEnd(t *testing.T) {
 func TestMaxInFlightShedsHeavyKeepsReads(t *testing.T) {
 	// Deterministic: fill the gate's semaphore directly instead of racing
 	// real slow requests against each other.
-	s, ts := newTestService(t, WithMaxInFlight(2))
+	s, ts := newTestService(t, nil, WithMaxInFlight(2))
 	s.gate.sem <- struct{}{}
 	s.gate.sem <- struct{}{}
 
@@ -257,10 +249,7 @@ func TestMaxInFlightShedsHeavyKeepsReads(t *testing.T) {
 }
 
 func TestRequestTimeoutMiddleware(t *testing.T) {
-	s, err := New(10, lds.DefaultParams(), WithRequestTimeout(20*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := New(newTestDecomposition(t), WithRequestTimeout(20*time.Millisecond))
 	slow := s.timeoutMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done() // block until the deadline cancels us
 	}))
@@ -297,12 +286,12 @@ func TestReadyzDegradedThenReattach(t *testing.T) {
 	// disabled and the transition is driven explicitly.
 	inj := faultfs.New(nil)
 	dir := t.TempDir()
-	s, ts := newTestService(t, WithWAL(dir, wal.Options{
+	s, ts := newTestService(t, []kcore.Option{kcore.WithWAL(dir, kcore.WALOptions{
 		FS:            inj,
-		Sync:          wal.SyncAlways,
+		Sync:          kcore.SyncAlways,
 		AppendRetries: -1,
 		ReattachEvery: -1,
-	}))
+	})})
 	if resp := post(t, ts.URL+"/edges/insert", triangleBody()); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy insert status %d", resp.StatusCode)
 	}
@@ -338,7 +327,7 @@ func TestReadyzDegradedThenReattach(t *testing.T) {
 	}
 
 	inj.Clear()
-	if err := s.Reattach(); err != nil {
+	if err := s.d.Reattach(); err != nil {
 		t.Fatalf("Reattach after lifting the fault: %v", err)
 	}
 	if resp := get(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusOK {

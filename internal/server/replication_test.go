@@ -13,10 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"kcore/internal/graph"
-	"kcore/internal/lds"
-	"kcore/internal/replica"
-	"kcore/internal/wal"
+	"kcore"
 )
 
 // jsonDecode is the goroutine-safe decode helper (no testing.T).
@@ -33,65 +30,64 @@ func readBody(t *testing.T, resp *http.Response) string {
 	return string(b)
 }
 
-func fastReplicationOptions() Option {
-	return WithReplicationOptions(
-		replica.FeederOptions{Heartbeat: 15 * time.Millisecond},
-		replica.FollowerOptions{
-			BackoffMin:    5 * time.Millisecond,
-			BackoffMax:    50 * time.Millisecond,
-			StreamTimeout: 2 * time.Second,
-			InitialSync:   5 * time.Second,
-		})
+func fastReplicationOptions() kcore.Option {
+	return kcore.WithReplicationOptions(kcore.ReplicationOptions{
+		Heartbeat:     15 * time.Millisecond,
+		BackoffMin:    5 * time.Millisecond,
+		BackoffMax:    50 * time.Millisecond,
+		StreamTimeout: 2 * time.Second,
+		InitialSync:   5 * time.Second,
+	})
 }
 
 // newReplicatedPair starts a primary serving a replication stream and a
 // replica synced to it, both with their HTTP surfaces up.
-func newReplicatedPair(t *testing.T, n, shards int) (primary, rep *Server, pts, rts *httptest.Server) {
+func newReplicatedPair(t *testing.T, n, shards int) (primary, rep *kcore.Decomposition, pts, rts *httptest.Server) {
 	t.Helper()
 	var err error
-	primary, err = New(n, lds.DefaultParams(), WithShards(shards),
-		WithReplicationListen("127.0.0.1:0"), fastReplicationOptions())
+	primary, err = kcore.New(n, kcore.WithShards(shards),
+		kcore.WithReplicationListen("127.0.0.1:0"), fastReplicationOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { primary.Close() })
-	rep, err = New(n, lds.DefaultParams(), WithShards(shards),
-		WithReplicationSource(primary.ReplicationAddr()), fastReplicationOptions())
+	rep, err = kcore.New(n, kcore.WithShards(shards),
+		kcore.WithReplicationSource(primary.ReplicationAddr()), fastReplicationOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rep.Close() })
-	pts = httptest.NewServer(primary.Handler())
+	pts = httptest.NewServer(New(primary).Handler())
 	t.Cleanup(pts.Close)
-	rts = httptest.NewServer(rep.Handler())
+	rts = httptest.NewServer(New(rep).Handler())
 	t.Cleanup(rts.Close)
 	return primary, rep, pts, rts
 }
 
-func applyRandomBatches(s *Server, n, rounds, perRound int, seed int64) {
+func applyRandomBatches(d *kcore.Decomposition, n, rounds, perRound int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for r := 0; r < rounds; r++ {
-		var ins []graph.Edge
+		var ins []kcore.Edge
 		for i := 0; i < perRound; i++ {
 			u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
 			if u != v {
-				ins = append(ins, graph.Edge{U: u, V: v})
+				ins = append(ins, kcore.Edge{U: u, V: v})
 			}
 		}
-		s.InsertBatch(ins)
+		d.InsertEdges(ins)
 	}
 }
 
-func waitReplicaEpoch(t *testing.T, rep *Server, want uint64) {
+func waitReplicaEpoch(t *testing.T, rep *kcore.Decomposition, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if rep.eng.Epoch() == want {
+		if rep.Epoch() == want {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("replica stuck at epoch %d, want %d", rep.eng.Epoch(), want)
+	t.Fatalf("replica stuck at epoch %d, want %d", rep.Epoch(), want)
 }
 
 func TestReplicaServesParityAndRejectsWrites(t *testing.T) {
@@ -100,7 +96,7 @@ func TestReplicaServesParityAndRejectsWrites(t *testing.T) {
 			const n = 120
 			primary, rep, pts, rts := newReplicatedPair(t, n, shards)
 			applyRandomBatches(primary, n, 10, 25, 7)
-			waitReplicaEpoch(t, rep, primary.eng.Epoch())
+			waitReplicaEpoch(t, rep, primary.Epoch())
 
 			// Byte-identical bulk reads at the same epoch.
 			var vs []string
@@ -160,22 +156,22 @@ func TestReplicaServesParityAndRejectsWrites(t *testing.T) {
 	}
 }
 
+// TestEpochFloorWaitsAndSheds serves min_epoch floors from a server whose
+// committed epoch is behind them (as a lagging replica's is): a read that
+// cannot reach its floor within the wait budget sheds with 412, and one
+// with budget is held until commits reach the floor.
 func TestEpochFloorWaitsAndSheds(t *testing.T) {
 	const n = 100
-	primary, rep, _, rts := newReplicatedPair(t, n, 2)
-	applyRandomBatches(primary, n, 4, 20, 3)
-	waitReplicaEpoch(t, rep, primary.eng.Epoch())
+	d := newTestDecomposition(t)
+	s := New(d, WithMinEpochWait(50*time.Millisecond))
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	applyRandomBatches(d, n, 4, 20, 3)
+	floor := d.Epoch() + 4 // each InsertEdges call commits one epoch
 
-	// Cut the feed (injected fault), advance the primary: the replica lags.
-	primary.feeder.Pause()
-	time.Sleep(30 * time.Millisecond) // let in-flight records land
-	applyRandomBatches(primary, n, 4, 20, 4)
-	floor := primary.eng.Epoch()
-
-	// Shed: a floor the lagging replica cannot reach within the wait
-	// budget answers 412 with the structured epoch_behind body.
-	rep.minEpochWait = 50 * time.Millisecond
-	resp := get(t, fmt.Sprintf("%s/coreness?v=1&min_epoch=%d", rts.URL, floor))
+	// Shed: a floor the server cannot reach within the wait budget
+	// answers 412 with the structured epoch_behind body.
+	resp := get(t, fmt.Sprintf("%s/coreness?v=1&min_epoch=%d", ts.URL, floor))
 	if resp.StatusCode != http.StatusPreconditionFailed {
 		t.Fatalf("lagging floor read: status %d, want 412", resp.StatusCode)
 	}
@@ -184,26 +180,26 @@ func TestEpochFloorWaitsAndSheds(t *testing.T) {
 		t.Fatalf("epoch_behind body: %+v (floor %d)", shed, floor)
 	}
 	// Same contract on the bulk body's min_epoch field.
-	resp = post(t, rts.URL+"/coreness/bulk", fmt.Sprintf(`{"vertices":[1],"min_epoch":%d}`, floor))
+	resp = post(t, ts.URL+"/coreness/bulk", fmt.Sprintf(`{"vertices":[1],"min_epoch":%d}`, floor))
 	if resp.StatusCode != http.StatusPreconditionFailed {
 		t.Fatalf("lagging bulk floor read: status %d, want 412", resp.StatusCode)
 	}
 	// And on /top.
-	resp = get(t, fmt.Sprintf("%s/top?k=3&min_epoch=%d", rts.URL, floor))
+	resp = get(t, fmt.Sprintf("%s/top?k=3&min_epoch=%d", ts.URL, floor))
 	if resp.StatusCode != http.StatusPreconditionFailed {
 		t.Fatalf("lagging top floor read: status %d, want 412", resp.StatusCode)
 	}
 
-	// Block: with wait budget, a floor read issued while lagging is held
-	// until the resumed feed catches the replica up, then served at >= floor.
-	rep.minEpochWait = 10 * time.Second
+	// Block: with wait budget, a floor read issued while behind is held
+	// until later commits reach the floor, then served at >= floor.
+	s.minEpochWait = 10 * time.Second
 	type result struct {
 		status int
 		epoch  uint64
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := http.Get(fmt.Sprintf("%s/coreness?v=1&min_epoch=%d", rts.URL, floor))
+		resp, err := http.Get(fmt.Sprintf("%s/coreness?v=1&min_epoch=%d", ts.URL, floor))
 		if err != nil {
 			done <- result{status: -1}
 			return
@@ -214,10 +210,10 @@ func TestEpochFloorWaitsAndSheds(t *testing.T) {
 		done <- result{status: resp.StatusCode, epoch: cr.Epoch}
 	}()
 	time.Sleep(50 * time.Millisecond) // the read is now parked on the floor
-	primary.feeder.Resume()
+	applyRandomBatches(d, n, 4, 20, 4)
 	res := <-done
 	if res.status != http.StatusOK {
-		t.Fatalf("floor read after resume: status %d", res.status)
+		t.Fatalf("floor read after catch-up: status %d", res.status)
 	}
 	if res.epoch < floor {
 		t.Fatalf("floor read served epoch %d < floor %d", res.epoch, floor)
@@ -278,17 +274,17 @@ func TestBounceClientNeverReadsBackwards(t *testing.T) {
 func TestReplicaNotReadyUntilSynced(t *testing.T) {
 	// A replica pointed at a dead primary with background sync must report
 	// itself not ready (syncing) while it has never bootstrapped.
-	s, err := New(50, lds.DefaultParams(),
-		WithReplicationSource("127.0.0.1:1"),
-		WithReplicationOptions(replica.FeederOptions{}, replica.FollowerOptions{
+	d, err := kcore.New(50,
+		kcore.WithReplicationSource("127.0.0.1:1"),
+		kcore.WithReplicationOptions(kcore.ReplicationOptions{
 			BackoffMin: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
 			InitialSync: -1, // don't block New
 		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+	defer d.Close()
+	ts := httptest.NewServer(New(d).Handler())
 	defer ts.Close()
 	resp := get(t, ts.URL+"/readyz")
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -299,13 +295,16 @@ func TestReplicaNotReadyUntilSynced(t *testing.T) {
 	}
 }
 
+// TestReplicationServerOptionValidation pins that the replication-role
+// conflicts a server could be configured with are rejected by kcore.New,
+// the one place a served Decomposition is built.
 func TestReplicationServerOptionValidation(t *testing.T) {
-	if _, err := New(10, lds.DefaultParams(),
-		WithReplicationListen("127.0.0.1:0"), WithReplicationSource("127.0.0.1:1")); err == nil {
+	if _, err := kcore.New(10,
+		kcore.WithReplicationListen("127.0.0.1:0"), kcore.WithReplicationSource("127.0.0.1:1")); err == nil {
 		t.Fatal("listen+source must be rejected")
 	}
-	if _, err := New(10, lds.DefaultParams(),
-		WithWAL(t.TempDir(), wal.Options{}), WithReplicationSource("127.0.0.1:1")); err == nil {
+	if _, err := kcore.New(10,
+		kcore.WithWAL(t.TempDir(), kcore.WALOptions{}), kcore.WithReplicationSource("127.0.0.1:1")); err == nil {
 		t.Fatal("WAL on a replica must be rejected")
 	}
 }
@@ -337,7 +336,7 @@ func TestMetricsExposition(t *testing.T) {
 	const n = 100
 	primary, rep, pts, rts := newReplicatedPair(t, n, 2)
 	applyRandomBatches(primary, n, 3, 20, 9)
-	waitReplicaEpoch(t, rep, primary.eng.Epoch())
+	waitReplicaEpoch(t, rep, primary.Epoch())
 
 	// Generate traffic so the histograms have samples, including an error.
 	get(t, pts.URL+"/coreness?v=1")

@@ -1,7 +1,10 @@
-// Package server exposes a Decomposition-style k-core service over HTTP —
-// the deployment shape the paper motivates in §1: a read-dominated,
+// Package server is the HTTP adapter over a kcore.Decomposition — the
+// deployment shape the paper motivates in §1: a read-dominated,
 // latency-sensitive query path (social networks, search) concurrent with a
-// batched update path.
+// batched update path. The Decomposition is built (engine, shards, WAL,
+// replication role, change feed) by kcore.New; this package only maps
+// requests onto its public API and adds the HTTP concerns: validation,
+// structured errors, overload protection and metrics.
 //
 // Endpoints:
 //
@@ -27,11 +30,11 @@
 //
 // # Replication
 //
-// WithReplicationListen serves the batch-log shipping stream on a second
-// listener; any number of follower servers (WithReplicationSource) each
-// bootstrap from it and then apply the primary's committed batches,
-// serving the full read surface from byte-identical state. On a follower
-// every mutating endpoint answers 403 with the stable code "read_only".
+// Over a Decomposition built with kcore.WithReplicationSource (a
+// follower of a primary built with kcore.WithReplicationListen) the
+// server is a read-only replica: it serves the full read surface from the
+// primary's byte-identical state, and every mutating endpoint answers 403
+// with the stable code "read_only".
 //
 // Because a follower's epochs advance exactly as the primary's did, an
 // epoch observed on one server is meaningful on the other. A client that
@@ -42,11 +45,10 @@
 // code "epoch_behind". Bouncing between primary and replicas then never
 // reads time backwards.
 //
-// Reads are served directly from the CPLDS read protocol of the vertex's
-// owning shard and never block on updates. Update requests from concurrent
-// clients are handed to the sharded engine's batch-coalescing scheduler,
-// which folds them into per-shard sub-batches and applies sub-batches of
-// distinct shards in parallel.
+// Reads use the Decomposition's lock-free read protocols and never block
+// on updates. Update requests from concurrent clients serialize on a
+// single-shard Decomposition and are coalesced into per-shard sub-batches
+// with kcore.WithShards(p > 1).
 //
 // Every read response carries an "epoch" field: the committed batch
 // boundary (cross-shard, when sharded) the response was served from.
@@ -61,71 +63,49 @@
 // Read endpoints also accept a *requested* epoch (`?epoch=` on /coreness
 // and /top, the "epoch" field on /coreness/bulk): the response is then
 // served exactly at that committed boundary — even a retired one, within
-// the engine's retention window (WithRetainedEpochs) — so paginated or
-// multi-request clients can read a frozen cut across requests. The epoch
-// is pinned for the duration of the request, so a served response is never
-// torn by concurrent eviction. Requests for epochs that aged out of the
-// window fail with 410 Gone; epochs not committed yet fail with 404.
+// the Decomposition's retention window (kcore.WithRetainedEpochs) — so
+// paginated or multi-request clients can read a frozen cut across
+// requests. The epoch is pinned for the duration of the request, so a
+// served response is never torn by concurrent eviction. Requests for
+// epochs that aged out of the window fail with 410 Gone; epochs not
+// committed yet fail with 404.
 package server
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"sync/atomic"
 	"time"
 
-	"kcore/internal/apps"
-	"kcore/internal/feed"
+	"kcore"
 	"kcore/internal/graph"
-	"kcore/internal/lds"
-	"kcore/internal/mvcc"
-	"kcore/internal/replica"
-	"kcore/internal/shard"
-	"kcore/internal/wal"
 )
 
-// DefaultMaxBatchEdges bounds the total number of edges accepted in one
-// /edges/batch request unless overridden with WithMaxBatchEdges.
-const DefaultMaxBatchEdges = 1 << 20
-
-// DefaultRetainedEpochs is the default multi-version retention depth:
-// how many retired epochs stay servable through the requested-epoch read
-// forms. Override with WithRetainedEpochs.
-const DefaultRetainedEpochs = mvcc.DefaultRetain
+// Defaults of the HTTP knobs, each overridden by its option.
+const (
+	// DefaultMaxBatchEdges bounds the edges (and bulk-read vertices)
+	// accepted per request (WithMaxBatchEdges).
+	DefaultMaxBatchEdges = 1 << 20
+	// DefaultMinEpochWait is how long an epoch-floor read (min_epoch) waits
+	// for the Decomposition to catch up before shedding with 412
+	// (WithMinEpochWait).
+	DefaultMinEpochWait = 2 * time.Second
+	// DefaultFeedHeartbeat is how often an idle /subscribe stream sends an
+	// SSE comment line, so clients and intermediaries can tell a quiet
+	// feed from a dead connection (WithFeedHeartbeat).
+	DefaultFeedHeartbeat = 15 * time.Second
+)
 
 // Option configures a Server.
 type Option func(*Server)
 
-// WithShards sets the number of engine shards (default 1).
-func WithShards(p int) Option {
-	return func(s *Server) { s.shards = p }
-}
-
-// WithMaxBatchEdges caps the total edges accepted per /edges/batch request.
+// WithMaxBatchEdges caps the edges accepted per update request and the
+// vertices per bulk read.
 func WithMaxBatchEdges(max int) Option {
 	return func(s *Server) { s.maxBatchEdges = max }
-}
-
-// WithRetainedEpochs sets the multi-version retention depth: the n most
-// recent retired epochs stay servable through `?epoch=` / the bulk "epoch"
-// field. 0 disables requested-epoch reads (only the current epoch is
-// servable); negative values are clamped to 0.
-func WithRetainedEpochs(n int) Option {
-	return func(s *Server) { s.retained = n }
-}
-
-// WithWAL makes the service durable: applied batches are write-ahead
-// logged to dir and New recovers the pre-crash state from dir before
-// serving. The /stats response then carries a "durability" block.
-func WithWAL(dir string, o wal.Options) Option {
-	return func(s *Server) {
-		s.walDir = dir
-		s.walOpts = o
-	}
 }
 
 // WithRateLimit enables per-client token-bucket rate limiting: each
@@ -159,109 +139,33 @@ func WithRequestTimeout(d time.Duration) Option {
 	return func(s *Server) { s.reqTimeout = d }
 }
 
-// DefaultMinEpochWait is how long an epoch-floor read (min_epoch) waits
-// for the engine to catch up before shedding with 412. Override with
-// WithMinEpochWait.
-const DefaultMinEpochWait = 2 * time.Second
-
-// WithReplicationListen makes this server a replication primary: the
-// batch-log shipping stream is served on its own listener at addr
-// (host:port; ":0" picks a free port, see ReplicationAddr). Composes with
-// WithWAL. Follower servers point WithReplicationSource here.
-func WithReplicationListen(addr string) Option {
-	return func(s *Server) { s.replListen = addr }
-}
-
-// WithReplicationSource makes this server a read-only replica of the
-// primary whose replication listener is at addr: New blocks until the
-// first bootstrap has been applied, every mutating endpoint answers 403
-// "read_only", and the read surface serves the primary's replicated
-// state. Incompatible with WithWAL (durability belongs to the primary; a
-// restarted replica re-bootstraps).
-func WithReplicationSource(addr string) Option {
-	return func(s *Server) { s.replSource = addr }
-}
-
-// WithReplicationOptions overrides the replication transport tuning
-// (heartbeat and tail buffer for the primary, timeouts and reconnect
-// backoff for a replica).
-func WithReplicationOptions(feed replica.FeederOptions, follow replica.FollowerOptions) Option {
-	return func(s *Server) {
-		s.replFeedOpts = feed
-		s.replFolOpts = follow
-	}
-}
-
 // WithMinEpochWait bounds how long an epoch-floor read (min_epoch) may
-// wait for the engine to reach the floor before answering 412
+// wait for the Decomposition to reach the floor before answering 412
 // "epoch_behind". d <= 0 sheds immediately when behind.
 func WithMinEpochWait(d time.Duration) Option {
 	return func(s *Server) { s.minEpochWait = d }
 }
 
-// WithMaxSubscribers caps concurrent /subscribe connections: the next
-// subscription answers 503 "overloaded". n <= 0 means unlimited (the
-// default).
-func WithMaxSubscribers(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxSubs = n
-		}
-	}
-}
-
-// WithEventBuffer sets the per-subscriber delivery buffer of /subscribe
-// streams, in per-epoch deliveries (default feed.DefaultBuffer). A
-// subscriber further behind than the buffer receives a gap marker instead
-// of the missed events. n <= 0 keeps the default.
-func WithEventBuffer(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.feedBuffer = n
-		}
-	}
-}
-
 // WithFeedHeartbeat sets how often an idle /subscribe stream emits an SSE
-// comment line (default DefaultFeedHeartbeat). d <= 0 keeps the default.
+// comment line. d <= 0 keeps DefaultFeedHeartbeat.
 func WithFeedHeartbeat(d time.Duration) Option {
-	return func(s *Server) { s.feedHeartbeat = d }
+	return func(s *Server) {
+		if d > 0 {
+			s.feedHeartbeat = d
+		}
+	}
 }
 
-// Server is an HTTP k-core query/update service.
+// Server is the HTTP k-core query/update service over one Decomposition.
 type Server struct {
-	eng *shard.Engine
-	wal *wal.Manager // nil without WithWAL
+	d *kcore.Decomposition
 
-	shards        int
 	maxBatchEdges int
-	retained      int
-	walDir        string
-	walOpts       wal.Options
-
-	rate       *rateLimiter  // nil = no rate limiting
-	gate       *inflightGate // nil = no in-flight cap
-	reqTimeout time.Duration // <= 0 = no per-request deadline
-
-	// Replication role (nil fields when off; at most one role is set).
-	replListen   string
-	replSource   string
-	replFeedOpts replica.FeederOptions
-	replFolOpts  replica.FollowerOptions
-	minEpochWait time.Duration
-	feeder       *replica.Feeder
-	feederSrv    *http.Server
-	feederLn     net.Listener
-	tailSrc      *wal.TailSource // batch tee when feeding without a WAL
-	follower     *replica.Follower
-
-	// Change feed (/subscribe). The hub always exists — an idle hub costs
-	// one atomic load per commit — so subscriptions work in every
-	// configuration, including on a replica.
-	hub           *feed.Hub
-	maxSubs       int           // 0 = unlimited
-	feedBuffer    int           // 0 = feed.DefaultBuffer
-	feedHeartbeat time.Duration // 0 = DefaultFeedHeartbeat
+	rate          *rateLimiter  // nil = no rate limiting
+	gate          *inflightGate // nil = no in-flight cap
+	reqTimeout    time.Duration // <= 0 = no per-request deadline
+	minEpochWait  time.Duration
+	feedHeartbeat time.Duration
 
 	metrics *metrics
 
@@ -275,135 +179,21 @@ type Server struct {
 	panics      atomic.Int64
 }
 
-// New creates a service over n vertices. It fails only when WithWAL is set
-// and the log directory cannot be opened or recovered.
-func New(n int, p lds.Params, opts ...Option) (*Server, error) {
+// New returns the HTTP service over d. The caller owns d: it builds it
+// with kcore.New (shards, WAL, replication role, change-feed limits) and
+// closes it after the HTTP server has shut down.
+func New(d *kcore.Decomposition, opts ...Option) *Server {
 	s := &Server{
-		shards:        1,
+		d:             d,
 		maxBatchEdges: DefaultMaxBatchEdges,
-		retained:      DefaultRetainedEpochs,
 		minEpochWait:  DefaultMinEpochWait,
+		feedHeartbeat: DefaultFeedHeartbeat,
 		metrics:       newMetrics(),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.shards < 1 {
-		s.shards = 1
-	}
-	if s.retained < 0 {
-		s.retained = 0
-	}
-	if s.replListen != "" && s.replSource != "" {
-		return nil, errors.New("server: WithReplicationListen and WithReplicationSource are mutually exclusive")
-	}
-	if s.replSource != "" && s.walDir != "" {
-		return nil, errors.New("server: WithWAL on a replica is unsupported (durability belongs to the primary)")
-	}
-	s.eng = shard.New(n, s.shards, p)
-	if s.walDir != "" {
-		// Recovery must precede retention setup: the multi-version vector
-		// log initializes from the recovered per-shard epochs.
-		m, err := wal.Open(s.walDir, s.eng, s.walOpts)
-		if err != nil {
-			return nil, fmt.Errorf("server: opening WAL: %w", err)
-		}
-		s.wal = m
-	}
-	s.eng.SetRetainedEpochs(s.retained)
-	// Attach the change feed before the engine serves traffic. On a
-	// replica the feed fires as replicated batches apply.
-	s.hub = feed.NewHub(s.maxSubs)
-	s.eng.SetEventHub(s.hub)
-	if s.replListen != "" {
-		var src wal.Source
-		if s.wal != nil {
-			src = s.wal
-		} else {
-			s.tailSrc = wal.NewTailSource(s.eng)
-			src = s.tailSrc
-		}
-		s.feeder = replica.NewFeeder(src, s.replFeedOpts)
-		ln, err := net.Listen("tcp", s.replListen)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("server: replication listener: %w", err)
-		}
-		s.feederLn = ln
-		s.feederSrv = &http.Server{Handler: s.feeder.Handler()}
-		go s.feederSrv.Serve(ln)
-	}
-	if s.replSource != "" {
-		fol, err := replica.StartFollower(s.eng, s.replSource, s.replFolOpts)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		s.follower = fol
-	}
-	return s, nil
-}
-
-// ReadOnly reports whether this server is a replica (WithReplicationSource).
-func (s *Server) ReadOnly() bool { return s.follower != nil }
-
-// ReplicationAddr returns the bound replication listener address
-// (WithReplicationListen; useful with ":0"), or "" when not a primary.
-func (s *Server) ReplicationAddr() string {
-	if s.feederLn == nil {
-		return ""
-	}
-	return s.feederLn.Addr().String()
-}
-
-// Engine exposes the underlying sharded engine (tests, bulk tooling).
-func (s *Server) Engine() *shard.Engine { return s.eng }
-
-// Snapshot checkpoints the engine state to the WAL directory, truncating
-// the log's replay tail. It requires WithWAL.
-func (s *Server) Snapshot() error {
-	if s.wal == nil {
-		return errors.New("server: Snapshot requires WithWAL")
-	}
-	return s.wal.Snapshot()
-}
-
-// Close stops replication (either role) and flushes and closes the
-// write-ahead log. Idempotent and safe to call concurrently with
-// Snapshot; a closed replica keeps serving its last applied state.
-func (s *Server) Close() error {
-	if s.follower != nil {
-		s.follower.Close()
-	}
-	if s.feederSrv != nil {
-		s.feederSrv.Close() // also closes feederLn
-	}
-	if s.tailSrc != nil {
-		s.tailSrc.Close()
-	}
-	if s.hub != nil {
-		s.hub.Close() // ends every /subscribe stream
-	}
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.Close()
-}
-
-// Reattach attempts to restore durability after the WAL degraded (see
-// wal.Manager.Reattach). It requires WithWAL.
-func (s *Server) Reattach() error {
-	if s.wal == nil {
-		return errors.New("server: Reattach requires WithWAL")
-	}
-	return s.wal.Reattach()
-}
-
-// InsertBatch applies an insertion batch directly (bulk loading at
-// startup), with the same accounting as the HTTP endpoint.
-func (s *Server) InsertBatch(edges []graph.Edge) int {
-	applied := s.eng.Insert(edges)
-	s.inserted.Add(int64(applied))
-	return applied
+	return s
 }
 
 // Handler returns the HTTP handler for the service: the route mux with
@@ -455,7 +245,7 @@ func (s *Server) Handler() http.Handler {
 // primary's batch stream, never by local writes (which would fork it from
 // the primary permanently — there is no reconciliation).
 func (s *Server) readOnlyGuard(next http.Handler) http.Handler {
-	if s.follower == nil && s.replSource == "" {
+	if !s.d.ReadOnly() {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -472,15 +262,15 @@ type snapshotResponse struct {
 // handleSnapshot triggers a durability snapshot (an admin operation: it
 // checkpoints the engine and truncates the log's replay tail).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.wal == nil {
+	if s.durability() == nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "snapshots require a WAL (-wal)")
 		return
 	}
-	if err := s.wal.Snapshot(); err != nil {
+	if err := s.d.Snapshot(); err != nil {
 		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		return
 	}
-	writeJSON(w, snapshotResponse{Epoch: s.eng.Epoch()})
+	writeJSON(w, snapshotResponse{Epoch: s.d.Epoch()})
 }
 
 // corenessResponse is the JSON body of /coreness. Epoch is the committed
@@ -499,43 +289,29 @@ type corenessResponse struct {
 // epoch that has not committed yet.
 func writeEpochError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, mvcc.ErrEvicted):
+	case errors.Is(err, kcore.ErrEpochEvicted):
 		writeError(w, http.StatusGone, codeEvicted, err.Error())
-	case errors.Is(err, mvcc.ErrFuture):
+	case errors.Is(err, kcore.ErrFutureEpoch):
 		writeError(w, http.StatusNotFound, codeFuture, err.Error())
 	default:
 		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
 	}
 }
 
-// epochParam extracts the optional requested epoch from the query string,
-// answering 400 itself on a malformed value (bad reports that case).
-func epochParam(w http.ResponseWriter, r *http.Request) (epoch uint64, present, bad bool) {
-	raw := r.URL.Query().Get("epoch")
+// uintParam extracts the optional unsigned query parameter name (nil when
+// absent), answering 400 itself on a malformed value (bad reports that
+// case).
+func uintParam(w http.ResponseWriter, r *http.Request, name string) (val *uint64, bad bool) {
+	raw := r.URL.Query().Get(name)
 	if raw == "" {
-		return 0, false, false
+		return nil, false
 	}
-	epoch, err := strconv.ParseUint(raw, 10, 64)
+	v, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad epoch")
-		return 0, true, true
+		writeError(w, http.StatusBadRequest, codeBadRequest, "bad "+name)
+		return nil, true
 	}
-	return epoch, true, false
-}
-
-// minEpochParam extracts the optional epoch floor from the query string,
-// answering 400 itself on a malformed value (bad reports that case).
-func minEpochParam(w http.ResponseWriter, r *http.Request) (floor uint64, bad bool) {
-	raw := r.URL.Query().Get("min_epoch")
-	if raw == "" {
-		return 0, false
-	}
-	floor, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad min_epoch")
-		return 0, true
-	}
-	return floor, false
+	return &v, false
 }
 
 // epochBehindResponse is the structured 412 body of an epoch-floor read
@@ -548,13 +324,17 @@ type epochBehindResponse struct {
 	MinEpoch uint64 `json:"min_epoch"` // the requested floor
 }
 
-// awaitEpochFloor blocks until the engine's committed epoch reaches
-// floor, the wait budget (WithMinEpochWait) runs out, or the client goes
-// away. On timeout it answers 412 "epoch_behind" and reports false. The
-// fast path — floor already committed, which is always the case on a
+// awaitEpochFloor blocks until the committed epoch reaches the floor (nil
+// = no floor), the wait budget (WithMinEpochWait) runs out, or the client
+// goes away. On timeout it answers 412 "epoch_behind" and reports false.
+// The fast path — floor already committed, which is always the case on a
 // primary serving a floor it issued — costs one atomic load.
-func (s *Server) awaitEpochFloor(w http.ResponseWriter, r *http.Request, floor uint64) bool {
-	startEpoch := s.eng.Epoch()
+func (s *Server) awaitEpochFloor(w http.ResponseWriter, r *http.Request, floorp *uint64) bool {
+	if floorp == nil {
+		return true
+	}
+	floor := *floorp
+	startEpoch := s.d.Epoch()
 	if floor == 0 || startEpoch >= floor {
 		return true
 	}
@@ -566,20 +346,21 @@ func (s *Server) awaitEpochFloor(w http.ResponseWriter, r *http.Request, floor u
 			return false // client gone; nothing to answer
 		case <-time.After(time.Millisecond):
 		}
-		if s.eng.Epoch() >= floor {
+		if s.d.Epoch() >= floor {
 			return true
 		}
 		if !time.Now().Before(deadline) {
 			break
 		}
 	}
-	w.Header().Set("Retry-After", retryAfterSeconds(floor, startEpoch, s.eng.Epoch(), time.Since(start), s.minEpochWait))
+	now := s.d.Epoch()
+	w.Header().Set("Retry-After", retryAfterSeconds(floor, startEpoch, now, time.Since(start), s.minEpochWait))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusPreconditionFailed)
 	_ = writeJSONBody(w, epochBehindResponse{
-		Error:    fmt.Sprintf("committed epoch %d is behind the requested floor %d", s.eng.Epoch(), floor),
+		Error:    fmt.Sprintf("committed epoch %d is behind the requested floor %d", now, floor),
 		Code:     codeEpochBehind,
-		Epoch:    s.eng.Epoch(),
+		Epoch:    now,
 		MinEpoch: floor,
 	})
 	return false
@@ -616,78 +397,81 @@ func retryAfterSeconds(floor, startEpoch, nowEpoch uint64, waited, budget time.D
 	return strconv.FormatInt(secs, 10)
 }
 
-// serveAt runs read against the requested epoch with the epoch pinned for
-// the duration, so a response that starts serving cannot be torn by
-// concurrent eviction; on failure it writes the mapped HTTP error and
-// reports false. When the epoch cannot be pinned but is still the current
-// one — retention disabled, where only the current epoch is servable —
-// the read proceeds unpinned: ReadManyAt/ReadAllAt re-validate and fail
-// with the typed errors if a commit overtakes them.
-func (s *Server) serveAt(w http.ResponseWriter, epoch uint64, read func() error) bool {
-	err := s.eng.PinEpoch(epoch)
-	switch {
-	case err == nil:
-		defer s.eng.UnpinEpoch(epoch)
-		err = read()
-	case errors.Is(err, mvcc.ErrEvicted) && s.eng.CheckEpoch(epoch) == nil:
-		err = read()
+// serve runs read against a View and returns the epoch it served: a
+// floating view of the latest commit when epoch is nil, else a view fixed
+// at *epoch and pinned for the duration, so a response that starts
+// serving cannot be torn by concurrent eviction. When the epoch cannot be
+// pinned but is still the current one — retention disabled, where only
+// the current epoch is servable — the read proceeds unpinned and fails
+// with the typed errors if a commit overtakes it. On failure serve writes
+// the mapped HTTP error and reports false.
+func (s *Server) serve(w http.ResponseWriter, epoch *uint64, read func(v *kcore.View)) (uint64, bool) {
+	if epoch == nil {
+		v := s.d.View()
+		read(v)
+		return v.Epoch(), true
+	}
+	v, err := s.d.ViewAt(*epoch)
+	if err == nil {
+		if err = v.Pin(); err == nil {
+			defer v.Release()
+		} else if errors.Is(err, kcore.ErrEpochEvicted) {
+			err = nil
+		}
+	}
+	if err == nil {
+		read(v)
+		err = v.Err()
 	}
 	if err != nil {
 		writeEpochError(w, err)
-		return false
+		return 0, false
 	}
-	return true
+	return v.Epoch(), true
 }
 
 func (s *Server) handleCoreness(w http.ResponseWriter, r *http.Request) {
 	v64, err := strconv.ParseUint(r.URL.Query().Get("v"), 10, 32)
-	if err != nil || int(v64) >= s.eng.NumVertices() {
+	if err != nil || int(v64) >= s.d.NumVertices() {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "bad or out-of-range vertex id")
 		return
 	}
-	v := uint32(v64)
-	if floor, bad := minEpochParam(w, r); bad {
+	u := uint32(v64)
+	floor, bad := uintParam(w, r, "min_epoch")
+	if bad || !s.awaitEpochFloor(w, r, floor) {
 		return
-	} else if !s.awaitEpochFloor(w, r, floor) {
+	}
+	requested, bad := uintParam(w, r, "epoch")
+	if bad {
 		return
 	}
 	mode := r.URL.Query().Get("mode")
-	if epoch, ok, bad := epochParam(w, r); ok {
-		if bad {
-			return
-		}
-		if mode != "" && mode != "linearizable" {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "mode is incompatible with a requested epoch")
-			return
-		}
-		vs, out := [1]uint32{v}, [1]float64{}
-		if !s.serveAt(w, epoch, func() error {
-			return s.eng.ReadManyAt(vs[:], out[:], epoch)
-		}) {
-			return
-		}
-		s.reads.Add(1)
-		writeJSON(w, corenessResponse{Vertex: v, Coreness: out[0], Mode: "retained", Batch: s.eng.Batches(), Epoch: epoch})
+	if requested != nil && mode != "" && mode != "linearizable" {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "mode is incompatible with a requested epoch")
 		return
-	}
-	if mode == "" {
-		mode = "linearizable"
 	}
 	var est float64
 	var epoch uint64
 	switch mode {
-	case "linearizable":
-		est, epoch = s.eng.ReadPinned(v)
+	case "", "linearizable":
+		var ok bool
+		if epoch, ok = s.serve(w, requested, func(v *kcore.View) { est = v.Coreness(u) }); !ok {
+			return
+		}
+		mode = "linearizable"
+		if requested != nil {
+			mode = "retained"
+		}
 	case "nonsync":
-		est, epoch = s.eng.ReadNonSync(v), s.eng.Epoch()
+		est, epoch = s.d.CorenessNonLinearizable(u), s.d.Epoch()
 	case "blocking":
-		est, epoch = s.eng.ReadSync(v), s.eng.Epoch()
+		est, epoch = s.d.CorenessBlocking(u), s.d.Epoch()
 	default:
 		writeError(w, http.StatusBadRequest, codeBadRequest, "unknown mode (want linearizable, nonsync or blocking)")
 		return
 	}
 	s.reads.Add(1)
-	writeJSON(w, corenessResponse{Vertex: v, Coreness: est, Mode: mode, Batch: s.eng.Batches(), Epoch: epoch})
+	writeJSON(w, corenessResponse{Vertex: u, Coreness: est, Mode: mode, Batch: s.d.BatchNumber(), Epoch: epoch})
 }
 
 // bulkRequest is the JSON body of POST /coreness/bulk: the vertices to
@@ -712,18 +496,8 @@ type bulkResponse struct {
 
 func (s *Server) handleCorenessBulk(w http.ResponseWriter, r *http.Request) {
 	// The vertex-count cap also bounds decode memory, as in /edges/batch.
-	body := http.MaxBytesReader(w, r.Body, int64(s.maxBatchEdges)*16+4096)
 	var req bulkRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
-				fmt.Sprintf("bulk body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad bulk JSON: %v", err))
+	if !s.decodeJSON(w, r, int64(s.maxBatchEdges)*16+4096, "bulk", &req) {
 		return
 	}
 	if len(req.Vertices) == 0 {
@@ -735,7 +509,7 @@ func (s *Server) handleCorenessBulk(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("bulk read of %d vertices exceeds limit %d", len(req.Vertices), s.maxBatchEdges))
 		return
 	}
-	n := uint32(s.eng.NumVertices())
+	n := uint32(s.d.NumVertices())
 	for _, v := range req.Vertices {
 		if v >= n {
 			writeError(w, http.StatusBadRequest, codeBadRequest,
@@ -743,20 +517,13 @@ func (s *Server) handleCorenessBulk(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.MinEpoch != nil && !s.awaitEpochFloor(w, r, *req.MinEpoch) {
+	if !s.awaitEpochFloor(w, r, req.MinEpoch) {
 		return
 	}
 	out := make([]float64, len(req.Vertices))
-	var epoch uint64
-	if req.Epoch != nil {
-		epoch = *req.Epoch
-		if !s.serveAt(w, epoch, func() error {
-			return s.eng.ReadManyAt(req.Vertices, out, epoch)
-		}) {
-			return
-		}
-	} else {
-		epoch = s.eng.ReadManyPinned(req.Vertices, out)
+	epoch, ok := s.serve(w, req.Epoch, func(v *kcore.View) { v.CorenessManyInto(req.Vertices, out) })
+	if !ok {
+		return
 	}
 	s.reads.Add(int64(len(req.Vertices)))
 	writeJSON(w, bulkResponse{Vertices: req.Vertices, Coreness: out, Epoch: epoch})
@@ -776,59 +543,42 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "bad k")
 		return
 	}
-	if floor, bad := minEpochParam(w, r); bad {
-		return
-	} else if !s.awaitEpochFloor(w, r, floor) {
+	floor, bad := uintParam(w, r, "min_epoch")
+	if bad || !s.awaitEpochFloor(w, r, floor) {
 		return
 	}
-	n := s.eng.NumVertices()
-	scores := make([]float64, n)
-	var epoch uint64
-	if e, ok, bad := epochParam(w, r); ok {
-		if bad {
-			return
-		}
-		epoch = e
-		if !s.serveAt(w, epoch, func() error {
-			return s.eng.ReadAllAt(scores, epoch)
-		}) {
-			return
-		}
-	} else {
-		epoch = s.eng.ReadAllPinned(scores)
+	requested, bad := uintParam(w, r, "epoch")
+	if bad {
+		return
 	}
-	s.reads.Add(int64(n))
-	writeJSON(w, topResponse{K: k, Vertices: apps.TopSpreaders(scores, k), Epoch: epoch})
+	var top []uint32
+	epoch, ok := s.serve(w, requested, func(v *kcore.View) { top = v.TopK(k) })
+	if !ok {
+		return
+	}
+	s.reads.Add(int64(s.d.NumVertices()))
+	writeJSON(w, topResponse{K: k, Vertices: top, Epoch: epoch})
 }
 
-// statsResponse is the JSON body of /stats. ShardLoad carries the per-shard
-// load breakdown (owned vertices, edges, applied batches) that shard
-// rebalancing decisions are driven by.
+// statsResponse is the JSON body of /stats: the Decomposition's own stats
+// types plus the server's request counters. ShardLoad carries the
+// per-shard load breakdown (owned vertices, edges, applied batches).
 type statsResponse struct {
-	Vertices    int           `json:"vertices"`
-	Shards      int           `json:"shards"`
-	Edges       int64         `json:"edges"`
-	Batches     uint64        `json:"batches"`
-	Epoch       uint64        `json:"epoch"`
-	Retained    int           `json:"retained_epochs"`
-	OldestEpoch uint64        `json:"oldest_epoch"`
-	Inserted    int64         `json:"edges_inserted"`
-	Deleted     int64         `json:"edges_deleted"`
-	Reads       int64         `json:"reads_served"`
-	ShardLoad   []shard.Stats     `json:"shard_load"`
-	Feed        feed.Stats        `json:"feed"`
-	Durability  *wal.Stats        `json:"durability,omitempty"`
-	Replication *replicationStats `json:"replication,omitempty"`
-	Overload    overloadStats     `json:"overload"`
-}
-
-// replicationStats is the /stats replication block: the feeder's counters
-// on a primary, the follower's sync/lag state on a replica.
-type replicationStats struct {
-	Role       string                 `json:"role"` // "primary" or "replica"
-	ListenAddr string                 `json:"listen_addr,omitempty"`
-	Feeder     *replica.FeederStats   `json:"feeder,omitempty"`
-	Follower   *replica.FollowerStats `json:"follower,omitempty"`
+	Vertices    int                     `json:"vertices"`
+	Shards      int                     `json:"shards"`
+	Edges       int64                   `json:"edges"`
+	Batches     uint64                  `json:"batches"`
+	Epoch       uint64                  `json:"epoch"`
+	Retained    int                     `json:"retained_epochs"`
+	OldestEpoch uint64                  `json:"oldest_epoch"`
+	Inserted    int64                   `json:"edges_inserted"`
+	Deleted     int64                   `json:"edges_deleted"`
+	Reads       int64                   `json:"reads_served"`
+	ShardLoad   []kcore.ShardLoad       `json:"shard_load"`
+	Feed        kcore.FeedStats         `json:"feed"`
+	Durability  *kcore.DurabilityStats  `json:"durability,omitempty"`
+	Replication *kcore.ReplicationStats `json:"replication,omitempty"`
+	Overload    overloadStats           `json:"overload"`
 }
 
 // overloadStats counts requests turned away or cut off by the protection
@@ -840,40 +590,51 @@ type overloadStats struct {
 	Panics      int64 `json:"panics"`
 }
 
+// durability returns the write-ahead log's stats, or nil without a WAL.
+func (s *Server) durability() *kcore.DurabilityStats {
+	st, ok := s.d.DurabilityStats()
+	if !ok {
+		return nil
+	}
+	return &st
+}
+
+// replication returns the replication role's stats, or nil without one.
+// The follower role is called "replica" on the wire.
+func (s *Server) replication() *kcore.ReplicationStats {
+	st, ok := s.d.ReplicationStats()
+	if !ok {
+		return nil
+	}
+	if st.Follower != nil {
+		st.Role = "replica"
+	}
+	return &st
+}
+
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := statsResponse{
-		Vertices:    s.eng.NumVertices(),
-		Shards:      s.eng.NumShards(),
-		Edges:       s.eng.NumEdges(),
-		Batches:     s.eng.Batches(),
-		Epoch:       s.eng.Epoch(),
-		Retained:    s.eng.RetainedEpochs(),
-		OldestEpoch: s.eng.OldestReadableEpoch(),
+	writeJSON(w, statsResponse{
+		Vertices:    s.d.NumVertices(),
+		Shards:      s.d.Shards(),
+		Edges:       s.d.NumEdges(),
+		Batches:     s.d.BatchNumber(),
+		Epoch:       s.d.Epoch(),
+		Retained:    s.d.RetainedEpochs(),
+		OldestEpoch: s.d.OldestReadableEpoch(),
 		Inserted:    s.inserted.Load(),
 		Deleted:     s.deleted.Load(),
 		Reads:       s.reads.Load(),
-		ShardLoad:   s.eng.Stats(),
-		Feed:        s.hub.Stats(),
+		ShardLoad:   s.d.ShardStats(),
+		Feed:        s.d.FeedStats(),
+		Durability:  s.durability(),
+		Replication: s.replication(),
 		Overload: overloadStats{
 			RateLimited: s.rateLimited.Load(),
 			LoadShed:    s.loadShed.Load(),
 			Timeouts:    s.timeouts.Load(),
 			Panics:      s.panics.Load(),
 		},
-	}
-	if s.wal != nil {
-		st := s.wal.Stats()
-		resp.Durability = &st
-	}
-	switch {
-	case s.feeder != nil:
-		fs := s.feeder.Stats()
-		resp.Replication = &replicationStats{Role: "primary", ListenAddr: s.ReplicationAddr(), Feeder: &fs}
-	case s.follower != nil:
-		fs := s.follower.Stats()
-		resp.Replication = &replicationStats{Role: "replica", Follower: &fs}
-	}
-	writeJSON(w, resp)
+	})
 }
 
 // updateResponse is the JSON body of the update endpoints.
@@ -882,81 +643,19 @@ type updateResponse struct {
 	Batch   uint64 `json:"batch"`
 }
 
-func (s *Server) handleUpdate(insert bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		// Same limits as /edges/batch: bound the body before parsing so
-		// the edge-count cap also bounds memory (a text edge line is well
-		// under 32 bytes), then enforce the count and vertex range.
-		body := http.MaxBytesReader(w, r.Body, int64(s.maxBatchEdges)*32+4096)
-		edges, _, err := graph.ReadEdgeList(body)
-		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
-					fmt.Sprintf("edge list exceeds %d bytes", tooLarge.Limit))
-				return
-			}
-			writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad edge list: %v", err))
-			return
-		}
-		if len(edges) > s.maxBatchEdges {
-			writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
-				fmt.Sprintf("batch of %d edges exceeds limit %d", len(edges), s.maxBatchEdges))
-			return
-		}
-		n := uint32(s.eng.NumVertices())
-		for _, e := range edges {
-			if e.U >= n || e.V >= n {
-				writeError(w, http.StatusBadRequest, codeBadRequest,
-					fmt.Sprintf("vertex out of range: edge (%d,%d), have %d vertices", e.U, e.V, n))
-				return
-			}
-		}
-		var applied int
-		if insert {
-			applied = s.eng.Insert(edges)
-			s.inserted.Add(int64(applied))
-		} else {
-			applied = s.eng.Delete(edges)
-			s.deleted.Add(int64(applied))
-		}
-		writeJSON(w, updateResponse{Applied: applied, Batch: s.eng.Batches()})
-	}
-}
-
-// batchEdge is one edge of a JSON batch request.
-type batchEdge struct {
-	U uint32 `json:"u"`
-	V uint32 `json:"v"`
-}
-
-// batchRequest is the JSON body of POST /edges/batch: a mixed batch of
-// insertions and deletions applied through the coalescing scheduler.
-type batchRequest struct {
-	Insert []batchEdge `json:"insert"`
-	Delete []batchEdge `json:"delete"`
-}
-
-// batchResponse is the JSON body of the batch endpoint.
-type batchResponse struct {
-	Inserted int    `json:"inserted"`
-	Deleted  int    `json:"deleted"`
-	Batch    uint64 `json:"batch"`
-}
-
-// validateBatch checks a batch request against the vertex range and size
-// limit. It returns an HTTP status and error for invalid batches.
-func (s *Server) validateBatch(req *batchRequest) (int, error) {
-	total := len(req.Insert) + len(req.Delete)
-	if total == 0 {
-		return http.StatusBadRequest, errors.New("empty batch: need at least one edge in insert or delete")
+// checkEdges validates an update's size and vertex range. It returns the
+// HTTP status and error for an invalid update.
+func (s *Server) checkEdges(lists ...[]kcore.Edge) (int, error) {
+	total := 0
+	for _, list := range lists {
+		total += len(list)
 	}
 	if total > s.maxBatchEdges {
 		return http.StatusRequestEntityTooLarge,
 			fmt.Errorf("batch of %d edges exceeds limit %d", total, s.maxBatchEdges)
 	}
-	n := uint32(s.eng.NumVertices())
-	for _, list := range [][]batchEdge{req.Insert, req.Delete} {
+	n := uint32(s.d.NumVertices())
+	for _, list := range lists {
 		for _, e := range list {
 			if e.U >= n || e.V >= n {
 				return http.StatusBadRequest,
@@ -967,42 +666,106 @@ func (s *Server) validateBatch(req *batchRequest) (int, error) {
 	return http.StatusOK, nil
 }
 
+// writeCheckError answers a failed checkEdges.
+func writeCheckError(w http.ResponseWriter, status int, err error) {
+	code := codeBadRequest
+	if status == http.StatusRequestEntityTooLarge {
+		code = codeTooLarge
+	}
+	writeError(w, status, code, err.Error())
+}
+
+func (s *Server) handleUpdate(insert bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		// Same limits as /edges/batch: bound the body before parsing so
+		// the edge-count cap also bounds memory (a text edge line is well
+		// under 32 bytes), then enforce the count and vertex range.
+		body := http.MaxBytesReader(w, r.Body, int64(s.maxBatchEdges)*32+4096)
+		parsed, _, err := graph.ReadEdgeList(body)
+		if err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
+					fmt.Sprintf("edge list exceeds %d bytes", tooLarge.Limit))
+				return
+			}
+			writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad edge list: %v", err))
+			return
+		}
+		edges := make([]kcore.Edge, len(parsed))
+		for i, e := range parsed {
+			edges[i] = kcore.Edge{U: e.U, V: e.V}
+		}
+		if status, err := s.checkEdges(edges); err != nil {
+			writeCheckError(w, status, err)
+			return
+		}
+		var applied int
+		if insert {
+			applied = s.d.InsertEdges(edges)
+			s.inserted.Add(int64(applied))
+		} else {
+			applied = s.d.DeleteEdges(edges)
+			s.deleted.Add(int64(applied))
+		}
+		writeJSON(w, updateResponse{Applied: applied, Batch: s.d.BatchNumber()})
+	}
+}
+
+// batchRequest is the JSON body of POST /edges/batch: a mixed batch of
+// insertions and deletions, {"insert": [{"u": 0, "v": 1}, ...],
+// "delete": [...]}, applied as one kcore ApplyBatch call.
+type batchRequest struct {
+	Insert []kcore.Edge `json:"insert"`
+	Delete []kcore.Edge `json:"delete"`
+}
+
+// batchResponse is the JSON body of the batch endpoint.
+type batchResponse struct {
+	Inserted int    `json:"inserted"`
+	Deleted  int    `json:"deleted"`
+	Batch    uint64 `json:"batch"`
+}
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Bound the body before decoding so the edge-count limit also bounds
 	// memory: an edge object is well under 64 bytes of JSON.
-	body := http.MaxBytesReader(w, r.Body, int64(s.maxBatchEdges)*64+4096)
 	var req batchRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
-				fmt.Sprintf("batch body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad batch JSON: %v", err))
+	if !s.decodeJSON(w, r, int64(s.maxBatchEdges)*64+4096, "batch", &req) {
 		return
 	}
-	if status, err := s.validateBatch(&req); err != nil {
-		code := codeBadRequest
-		if status == http.StatusRequestEntityTooLarge {
-			code = codeTooLarge
-		}
-		writeError(w, status, code, err.Error())
+	if len(req.Insert)+len(req.Delete) == 0 {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch: need at least one edge in insert or delete")
 		return
 	}
-	toEdges := func(in []batchEdge) []graph.Edge {
-		out := make([]graph.Edge, len(in))
-		for i, e := range in {
-			out[i] = graph.Edge{U: e.U, V: e.V}
-		}
-		return out
+	if status, err := s.checkEdges(req.Insert, req.Delete); err != nil {
+		writeCheckError(w, status, err)
+		return
 	}
-	ins, del := s.eng.Apply(toEdges(req.Insert), toEdges(req.Delete))
+	ins, del := s.d.ApplyBatch(req.Insert, req.Delete)
 	s.inserted.Add(int64(ins))
 	s.deleted.Add(int64(del))
-	writeJSON(w, batchResponse{Inserted: ins, Deleted: del, Batch: s.eng.Batches()})
+	writeJSON(w, batchResponse{Inserted: ins, Deleted: del, Batch: s.d.BatchNumber()})
+}
+
+// decodeJSON decodes the request body into v, rejecting unknown fields
+// and bodies over limit bytes; on failure it answers 400 or 413 itself
+// and reports false. what names the body in error messages.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
+			fmt.Sprintf("%s body exceeds %d bytes", what, tooLarge.Limit))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad %s JSON: %v", what, err))
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -3,23 +3,33 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
-	"kcore/internal/lds"
-	"kcore/internal/wal"
+	"kcore"
 )
 
-func newTestServer(t *testing.T, opts ...Option) *httptest.Server {
+// newTestDecomposition builds a 100-vertex Decomposition with opts, closed
+// when the test ends.
+func newTestDecomposition(t *testing.T, opts ...kcore.Option) *kcore.Decomposition {
 	t.Helper()
-	s, err := New(100, lds.DefaultParams(), opts...)
+	d, err := kcore.New(100, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// newTestServer serves a fresh 100-vertex Decomposition built with kopts
+// through a Server built with opts.
+func newTestServer(t *testing.T, kopts []kcore.Option, opts ...Option) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(New(newTestDecomposition(t, kopts...), opts...).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -56,7 +66,7 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 func triangleBody() string { return "0 1\n1 2\n0 2\n" }
 
 func TestInsertAndRead(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, nil)
 	resp := post(t, ts.URL+"/edges/insert", triangleBody())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert status %d", resp.StatusCode)
@@ -73,7 +83,7 @@ func TestInsertAndRead(t *testing.T) {
 }
 
 func TestReadModes(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, nil)
 	post(t, ts.URL+"/edges/insert", triangleBody())
 	for _, mode := range []string{"linearizable", "nonsync", "blocking"} {
 		resp := get(t, fmt.Sprintf("%s/coreness?v=1&mode=%s", ts.URL, mode))
@@ -91,7 +101,7 @@ func TestReadModes(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, nil)
 	if resp := get(t, ts.URL+"/coreness?v=notanumber"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad id status %d", resp.StatusCode)
 	}
@@ -107,7 +117,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestDeleteAndStats(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, nil)
 	post(t, ts.URL+"/edges/insert", triangleBody())
 	resp := post(t, ts.URL+"/edges/delete", "0 1\n")
 	up := decode[updateResponse](t, resp)
@@ -121,7 +131,7 @@ func TestDeleteAndStats(t *testing.T) {
 }
 
 func TestTopEndpoint(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, nil)
 	// Dense cluster on 0..4.
 	var b strings.Builder
 	for i := 0; i < 5; i++ {
@@ -142,7 +152,7 @@ func TestTopEndpoint(t *testing.T) {
 }
 
 func TestBatchEndpoint(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, nil)
 	resp := post(t, ts.URL+"/edges/batch", `{"insert":[{"u":0,"v":1},{"u":1,"v":2},{"u":0,"v":2}]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch insert status %d", resp.StatusCode)
@@ -151,16 +161,17 @@ func TestBatchEndpoint(t *testing.T) {
 	if br.Inserted != 3 || br.Deleted != 0 {
 		t.Fatalf("batch response %+v", br)
 	}
-	// Mixed batch: one deletion, one fresh insertion, one insert+delete
-	// pair of the same (absent) edge that must net out to nothing.
+	// Mixed batch: one deletion, one fresh insertion, and one edge named
+	// in both lists, which kcore.ApplyBatch inserts and then deletes — the
+	// graph ends without it.
 	resp = post(t, ts.URL+"/edges/batch",
 		`{"insert":[{"u":2,"v":3},{"u":7,"v":8}],"delete":[{"u":0,"v":1},{"u":7,"v":8}]}`)
 	br = decode[batchResponse](t, resp)
-	if br.Inserted != 1 || br.Deleted != 1 {
+	if br.Inserted != 2 || br.Deleted != 2 {
 		t.Fatalf("mixed batch response %+v", br)
 	}
 	st := decode[statsResponse](t, get(t, ts.URL+"/stats"))
-	if st.Edges != 3 || st.Inserted != 4 || st.Deleted != 1 {
+	if st.Edges != 3 || st.Inserted != 5 || st.Deleted != 2 {
 		t.Fatalf("stats after batches %+v", st)
 	}
 }
@@ -221,7 +232,7 @@ func TestBatchEndpointErrorPaths(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := newTestServer(t, tc.opts...)
+			ts := newTestServer(t, nil, tc.opts...)
 			resp := post(t, ts.URL+"/edges/batch", tc.body)
 			if resp.StatusCode != tc.wantStatus {
 				t.Fatalf("status %d, want %d", resp.StatusCode, tc.wantStatus)
@@ -236,7 +247,7 @@ func TestBatchEndpointErrorPaths(t *testing.T) {
 }
 
 func TestShardedServer(t *testing.T) {
-	ts := newTestServer(t, WithShards(4))
+	ts := newTestServer(t, []kcore.Option{kcore.WithShards(4)})
 	st := decode[statsResponse](t, get(t, ts.URL+"/stats"))
 	if st.Shards != 4 {
 		t.Fatalf("shards = %d, want 4", st.Shards)
@@ -273,7 +284,7 @@ func TestShardedServer(t *testing.T) {
 func TestBulkCorenessEndpoint(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ts := newTestServer(t, WithShards(shards))
+			ts := newTestServer(t, []kcore.Option{kcore.WithShards(shards)})
 			post(t, ts.URL+"/edges/insert", triangleBody())
 			resp := post(t, ts.URL+"/coreness/bulk", `{"vertices":[0,1,2,50]}`)
 			if resp.StatusCode != http.StatusOK {
@@ -322,7 +333,7 @@ func TestBulkCorenessErrorPaths(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := newTestServer(t, tc.opts...)
+			ts := newTestServer(t, nil, tc.opts...)
 			resp := post(t, ts.URL+"/coreness/bulk", tc.body)
 			if resp.StatusCode != tc.wantStatus {
 				t.Fatalf("status %d, want %d", resp.StatusCode, tc.wantStatus)
@@ -334,7 +345,7 @@ func TestBulkCorenessErrorPaths(t *testing.T) {
 // TestEpochFieldsReported checks that every read surface reports the epoch
 // of the cut it served: single reads, bulk reads, rankings and stats.
 func TestEpochFieldsReported(t *testing.T) {
-	ts := newTestServer(t, WithShards(2))
+	ts := newTestServer(t, []kcore.Option{kcore.WithShards(2)})
 	post(t, ts.URL+"/edges/insert", triangleBody())
 	post(t, ts.URL+"/edges/delete", "0 1\n")
 
@@ -356,7 +367,7 @@ func TestEpochFieldsReported(t *testing.T) {
 }
 
 func TestConcurrentReadsDuringUpdates(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, nil)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 3; r++ {
@@ -400,7 +411,7 @@ func TestConcurrentReadsDuringUpdates(t *testing.T) {
 func TestRetainedEpochReads(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ts := newTestServer(t, WithShards(shards), WithRetainedEpochs(16))
+			ts := newTestServer(t, []kcore.Option{kcore.WithShards(shards), kcore.WithRetainedEpochs(16)})
 			// A clique over 0..7 lifts estimates well above the floor (in
 			// every shard's local subgraph: all of 0's edges live in 0's
 			// owning shard).
@@ -498,7 +509,7 @@ func TestRetainedEpochReads(t *testing.T) {
 // TestEvictedEpochGone ages an epoch out of a tiny retention window and
 // expects 410 Gone from every requested-epoch form.
 func TestEvictedEpochGone(t *testing.T) {
-	ts := newTestServer(t, WithRetainedEpochs(1))
+	ts := newTestServer(t, []kcore.Option{kcore.WithRetainedEpochs(1)})
 	post(t, ts.URL+"/edges/insert", triangleBody())
 	frozen := decode[corenessResponse](t, get(t, ts.URL+"/coreness?v=0")).Epoch
 	for i := 0; i < 3; i++ {
@@ -518,7 +529,7 @@ func TestEvictedEpochGone(t *testing.T) {
 	}
 	// Retention disabled: any retired epoch is gone, but the current one is
 	// still servable (unpinned, per the option's only-the-current contract).
-	ts0 := newTestServer(t, WithRetainedEpochs(0))
+	ts0 := newTestServer(t, []kcore.Option{kcore.WithRetainedEpochs(0)})
 	post(t, ts0.URL+"/edges/insert", triangleBody())
 	post(t, ts0.URL+"/edges/insert", "5 6\n")
 	if resp := get(t, ts0.URL+"/coreness?v=0&epoch=1"); resp.StatusCode != http.StatusGone {
@@ -542,7 +553,7 @@ func TestEvictedEpochGone(t *testing.T) {
 func TestUpdateEndpointValidation(t *testing.T) {
 	for _, ep := range []string{"/edges/insert", "/edges/delete"} {
 		t.Run(ep, func(t *testing.T) {
-			ts := newTestServer(t, WithMaxBatchEdges(2))
+			ts := newTestServer(t, nil, WithMaxBatchEdges(2))
 			cases := []struct {
 				name, body string
 				status     int
@@ -567,7 +578,7 @@ func TestUpdateEndpointValidation(t *testing.T) {
 // TestRejectedUpdatesDoNotCommit verifies a rejected text update leaves no
 // trace in the engine: no batch, no edges.
 func TestRejectedUpdatesDoNotCommit(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, nil)
 	post(t, ts.URL+"/edges/insert", triangleBody())
 	before := decode[statsResponse](t, get(t, ts.URL+"/stats"))
 	if resp := post(t, ts.URL+"/edges/insert", "0 5000\n"); resp.StatusCode != http.StatusBadRequest {
@@ -585,12 +596,15 @@ func TestRejectedUpdatesDoNotCommit(t *testing.T) {
 // same coreness values.
 func TestServerDurability(t *testing.T) {
 	dir := t.TempDir()
-	opts := []Option{WithShards(2), WithWAL(dir, wal.Options{})}
-	s1, err := New(100, lds.DefaultParams(), opts...)
-	if err != nil {
-		t.Fatal(err)
+	open := func() *kcore.Decomposition {
+		d, err := kcore.New(100, kcore.WithShards(2), kcore.WithWAL(dir, kcore.WALOptions{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
 	}
-	ts := httptest.NewServer(s1.Handler())
+	d1 := open()
+	ts := httptest.NewServer(New(d1).Handler())
 	post(t, ts.URL+"/edges/insert", triangleBody())
 	post(t, ts.URL+"/edges/insert", "3 4\n4 5\n3 5\n2 3\n")
 	post(t, ts.URL+"/edges/delete", "2 3\n")
@@ -600,16 +614,13 @@ func TestServerDurability(t *testing.T) {
 	}
 	want := decode[corenessResponse](t, get(t, ts.URL+"/coreness?v=4"))
 	ts.Close()
-	if err := s1.Close(); err != nil {
+	if err := d1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := New(100, lds.DefaultParams(), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	ts2 := httptest.NewServer(s2.Handler())
+	d2 := open()
+	defer d2.Close()
+	ts2 := httptest.NewServer(New(d2).Handler())
 	defer ts2.Close()
 	st2 := decode[statsResponse](t, get(t, ts2.URL+"/stats"))
 	if st2.Epoch != st.Epoch || st2.Edges != st.Edges {
@@ -624,23 +635,78 @@ func TestServerDurability(t *testing.T) {
 	}
 
 	// The durability block is absent without WithWAL.
-	plain := newTestServer(t)
+	plain := newTestServer(t, nil)
 	if st := decode[statsResponse](t, get(t, plain.URL+"/stats")); st.Durability != nil {
 		t.Fatalf("durability block present without WAL: %+v", st.Durability)
 	}
 }
 
-// TestServerSnapshotRequiresWAL pins the error contract of the durability
-// methods on a memory-only server.
+// TestServerSnapshotRequiresWAL pins the error contract of POST /snapshot
+// on a memory-only server, and that closing its Decomposition succeeds.
 func TestServerSnapshotRequiresWAL(t *testing.T) {
-	s, err := New(10, lds.DefaultParams())
+	d, err := kcore.New(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Snapshot(); err == nil {
-		t.Fatal("Snapshot without WAL succeeded")
+	ts := httptest.NewServer(New(d).Handler())
+	defer ts.Close()
+	resp := post(t, ts.URL+"/snapshot", "")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("snapshot without WAL status %d, want 400", resp.StatusCode)
 	}
-	if err := s.Close(); err != nil {
+	if er := decode[errorResponse](t, resp); er.Code != codeBadRequest {
+		t.Fatalf("snapshot without WAL code %q", er.Code)
+	}
+	if err := d.Close(); err != nil {
 		t.Fatalf("Close without WAL: %v", err)
+	}
+}
+
+// TestStatsMetricsRaceWithBatchesSingleShard polls /stats and /metrics
+// while /edges/batch writes run on a single-shard Decomposition: the -race
+// proof that the edge count and shard stats are safe to read mid-batch.
+func TestStatsMetricsRaceWithBatchesSingleShard(t *testing.T) {
+	ts := newTestServer(t, nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, url := range []string{ts.URL + "/stats", ts.URL + "/metrics"} {
+		wg.Add(1)
+		go func(url string) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(url)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}(url)
+	}
+	for round := 0; round < 20; round++ {
+		var b strings.Builder
+		b.WriteString(`{"insert":[`)
+		for i := 0; i < 40; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `{"u":%d,"v":%d}`, (round*13+i)%100, (round*7+i*3+1)%100)
+		}
+		fmt.Fprintf(&b, `],"delete":[{"u":%d,"v":%d}]}`, round%100, (round+1)%100)
+		if resp := post(t, ts.URL+"/edges/batch", b.String()); resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d batch status %d", round, resp.StatusCode)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	st := decode[statsResponse](t, get(t, ts.URL+"/stats"))
+	if st.Edges != st.Inserted-st.Deleted || st.ShardLoad[0].PrimaryEdges != st.Edges {
+		t.Fatalf("edge accounting after batches: %+v", st)
 	}
 }

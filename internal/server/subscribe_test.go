@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,8 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"kcore/internal/feed"
-	"kcore/internal/lds"
+	"kcore"
 )
 
 // sseMessage is one parsed server-sent event.
@@ -52,13 +52,19 @@ func readSSE(br *bufio.Reader) (sseMessage, error) {
 // cancel that tears the request down.
 func openStream(t *testing.T, base, params string) (*bufio.Reader, context.CancelFunc) {
 	t.Helper()
+	return openStreamWith(t, http.DefaultClient, base, params)
+}
+
+// openStreamWith is openStream through the given client.
+func openStreamWith(t *testing.T, client *http.Client, base, params string) (*bufio.Reader, context.CancelFunc) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, "GET", base+"/subscribe"+params, nil)
 	if err != nil {
 		cancel()
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		cancel()
 		t.Fatal(err)
@@ -82,7 +88,7 @@ func openStream(t *testing.T, base, params string) (*bufio.Reader, context.Cance
 func TestSubscribeStreamsCommittedEpochs(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ts := newTestServer(t, WithShards(shards), WithRetainedEpochs(32))
+			ts := newTestServer(t, []kcore.Option{kcore.WithShards(shards), kcore.WithRetainedEpochs(32)})
 			br, _ := openStream(t, ts.URL, "")
 
 			m, err := readSSE(br)
@@ -137,7 +143,7 @@ func TestSubscribeStreamsCommittedEpochs(t *testing.T) {
 // TestSubscribeFilterParams checks that a cross_k-filtered stream only
 // carries threshold crossings, and that bad parameters are rejected.
 func TestSubscribeFilterParams(t *testing.T) {
-	ts := newTestServer(t, WithRetainedEpochs(8))
+	ts := newTestServer(t, []kcore.Option{kcore.WithRetainedEpochs(8)})
 	const k = 2.0
 	br, _ := openStream(t, ts.URL, fmt.Sprintf("?cross_k=%g", k))
 	if m, err := readSSE(br); err != nil || m.Event != "hello" {
@@ -187,7 +193,7 @@ func TestSubscribeFilterParams(t *testing.T) {
 
 // TestSubscribeSubscriberCap checks the 503 past WithMaxSubscribers.
 func TestSubscribeSubscriberCap(t *testing.T) {
-	ts := newTestServer(t, WithMaxSubscribers(1))
+	ts := newTestServer(t, []kcore.Option{kcore.WithMaxSubscribers(1)})
 	br, cancel := openStream(t, ts.URL, "")
 	if m, err := readSSE(br); err != nil || m.Event != "hello" {
 		t.Fatalf("hello: %+v, err %v", m, err)
@@ -223,45 +229,73 @@ func TestSubscribeSubscriberCap(t *testing.T) {
 	}
 }
 
-// TestSubscribeSlowClientGetsGap drives a 1-slot subscription with bursts
-// published faster than the stream goroutine can drain and asserts the
-// wire carries a well-formed gap message rather than stalling the
-// publisher.
+// TestSubscribeSlowClientGetsGap drives a 1-slot subscription whose
+// client stops reading while batches keep committing, and asserts the
+// commit path keeps going (the hub drops deliveries instead of blocking)
+// and the wire then carries a well-formed gap message.
 func TestSubscribeSlowClientGetsGap(t *testing.T) {
-	s, err := New(100, lds.DefaultParams(), WithEventBuffer(1))
-	if err != nil {
-		t.Fatal(err)
+	d := newTestDecomposition(t, kcore.WithEventBuffer(1))
+	// Small socket buffers on both ends, so a stalled client backs the
+	// stream up after a few deliveries.
+	ts := httptest.NewUnstartedServer(New(d).Handler())
+	ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		if tc, ok := c.(*net.TCPConn); ok && st == http.StateNew {
+			_ = tc.SetWriteBuffer(4096)
+		}
 	}
-	t.Cleanup(func() { s.Close() })
-	ts := httptest.NewServer(s.Handler())
+	ts.Start()
 	t.Cleanup(ts.Close)
+	client := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+			if tc, ok := c.(*net.TCPConn); ok {
+				_ = tc.SetReadBuffer(4096)
+			}
+			return c, err
+		},
+	}}
 
-	br, _ := openStream(t, ts.URL, "")
+	br, _ := openStreamWith(t, client, ts.URL, "")
 	if m, err := readSSE(br); err != nil || m.Event != "hello" {
 		t.Fatalf("hello: %+v, err %v", m, err)
 	}
 
-	// Publish bursts directly into the hub (the engine publishes the same
-	// way, synchronously at commit) until the handler falls behind. Each
-	// Publish returns immediately whether or not the subscriber keeps up —
-	// that is the property under test.
-	events := []feed.Event{{Vertex: 1, OldCore: 1, NewCore: 2}}
+	// Toggle a clique on and off: every commit moves the coreness of all
+	// its vertices, so every epoch is one delivery. Each commit returns
+	// whether or not the subscriber keeps up — that is the property under
+	// test. The client reads nothing until a delivery has been dropped,
+	// so the stream's socket buffers fill and the handler stalls.
+	var clique []kcore.Edge
+	for i := uint32(0); i < 12; i++ {
+		for j := i + 1; j < 12; j++ {
+			clique = append(clique, kcore.Edge{U: i, V: j})
+		}
+	}
+	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		epoch := uint64(1000)
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if st := s.hub.Stats(); st.Gaps > 0 {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
 				return
+			default:
 			}
-			for i := 0; i < 100; i++ {
-				epoch++
-				events[0].Epoch = epoch
-				s.hub.Publish(epoch, events)
+			if i%2 == 0 {
+				d.InsertEdges(clique)
+			} else {
+				d.DeleteEdges(clique)
 			}
 		}
 	}()
+	defer func() { close(stop); <-done }()
+	deadline := time.Now().Add(30 * time.Second)
+	for d.FeedStats().Drops == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no delivery dropped while the client stalled: %+v", d.FeedStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	sawGap := false
 	for !sawGap {
@@ -284,8 +318,7 @@ func TestSubscribeSlowClientGetsGap(t *testing.T) {
 			t.Fatalf("unexpected message %+v", m)
 		}
 	}
-	<-done
-	if st := s.hub.Stats(); st.Drops == 0 || st.Gaps == 0 {
+	if st := d.FeedStats(); st.Drops == 0 || st.Gaps == 0 {
 		t.Fatalf("hub stats missed the overrun: %+v", st)
 	}
 }
@@ -335,7 +368,7 @@ func TestStatsMetricsFeedRaceWithLiveFollower(t *testing.T) {
 	}
 
 	applyRandomBatches(primary, 200, 30, 50, 7)
-	waitReplicaEpoch(t, rep, primary.eng.Epoch())
+	waitReplicaEpoch(t, rep, primary.Epoch())
 	close(stop)
 	wg.Wait()
 }

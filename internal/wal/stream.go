@@ -75,8 +75,9 @@ func (r *TailReader) closeLocked() {
 // a reconnecting follower can resume from its applied commit vector. The
 // zero value is ready to use (retention off).
 type tailHub struct {
-	mu   sync.Mutex
-	subs map[*TailReader]struct{}
+	mu     sync.Mutex
+	subs   map[*TailReader]struct{}
+	closed bool // closeAll ran: no new subscriptions
 
 	// Retained ring: the newest `retain` published batches, in publish
 	// order (which is per-shard commit order). low is the per-shard
@@ -156,14 +157,18 @@ func (h *tailHub) replayAfter(vec []uint64) (replay []Batch, cur []uint64, ok bo
 	return replay, append([]uint64(nil), h.cur...), true
 }
 
-// subscribe registers a new reader. Callers that need the stream to start
-// at a known state must call it where no batch can commit (see Bootstrap).
+// subscribe registers a new reader, or returns nil once the hub is
+// closed. Callers that need the stream to start at a known state must
+// call it where no batch can commit (see bootstrap).
 func (h *tailHub) subscribe(buffer int) *TailReader {
 	if buffer <= 0 {
 		buffer = DefaultTailBuffer
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.closed {
+		return nil
+	}
 	if h.subs == nil {
 		h.subs = make(map[*TailReader]struct{})
 	}
@@ -205,10 +210,11 @@ func (h *tailHub) publish(b Batch) {
 	}
 }
 
-// closeAll drops every subscriber (hub shutdown).
+// closeAll drops every subscriber and refuses new ones (hub shutdown).
 func (h *tailHub) closeAll() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.closed = true
 	for r := range h.subs {
 		r.closeLocked()
 	}
@@ -242,49 +248,47 @@ type Source interface {
 	Resume(vec []uint64, buffer int) (replay []Batch, cur []uint64, tr *TailReader, ok bool, err error)
 }
 
-// NumVertices returns the attached engine's vertex count.
-func (m *Manager) NumVertices() int { return m.eng.NumVertices() }
-
-// NumShards returns the attached engine's shard count.
-func (m *Manager) NumShards() int { return m.eng.NumShards() }
-
-// Bootstrap implements Source: it quiesces the engine, captures every
-// shard's durable state and registers a tail subscription inside the same
-// quiesce section. Works while degraded (replication does not depend on
-// the disk) but not after Close.
-func (m *Manager) Bootstrap(buffer int) ([]ShardState, *TailReader, error) {
-	if m.closed.Load() {
+// bootstrap implements Source.Bootstrap for the hub fed by eng: it
+// quiesces eng, captures every shard's durable state and registers a tail
+// subscription inside the same quiesce section. It fails once the hub is
+// closed.
+func (h *tailHub) bootstrap(eng Engine, buffer int) ([]ShardState, *TailReader, error) {
+	states := make([]ShardState, eng.NumShards())
+	var tr *TailReader
+	eng.Quiesce(func() {
+		for si := range states {
+			states[si] = eng.ShardDurable(si)
+		}
+		tr = h.subscribe(buffer)
+	})
+	if tr == nil {
 		return nil, nil, fmt.Errorf("wal: bootstrap after close")
 	}
-	states := make([]ShardState, m.eng.NumShards())
-	var tr *TailReader
-	m.eng.Quiesce(func() {
-		for si := range states {
-			states[si] = m.eng.ShardDurable(si)
-		}
-		tr = m.hub.subscribe(buffer)
-	})
 	return states, tr, nil
 }
 
-// SetRetain implements Source: it sizes the retained-batch ring, seeding
-// the low-water vector from the engine's committed epochs inside a quiesce
-// so retention coverage starts exactly at the current commit point.
-func (m *Manager) SetRetain(n int) {
-	m.eng.Quiesce(func() { m.hub.setRetain(n, shardEpochs(m.eng)) })
+// retainFrom implements Source.SetRetain: it sizes the retained-batch
+// ring, seeding the low-water vector from eng's committed epochs inside a
+// quiesce so retention coverage starts exactly at the current commit
+// point.
+func (h *tailHub) retainFrom(eng Engine, n int) {
+	eng.Quiesce(func() {
+		vec := make([]uint64, eng.NumShards())
+		for si := range vec {
+			vec[si] = eng.ShardEpoch(si)
+		}
+		h.setRetain(n, vec)
+	})
 }
 
-// Resume implements Source: under one engine quiesce it checks the cursor
-// against the retained ring and, when covered, collects the replay and
-// registers the tail subscription — the same atomicity Bootstrap gets, so
-// replay + tail carries every batch after vec exactly once.
-func (m *Manager) Resume(vec []uint64, buffer int) ([]Batch, []uint64, *TailReader, bool, error) {
-	if m.closed.Load() {
-		return nil, nil, nil, false, fmt.Errorf("wal: resume after close")
-	}
-	if len(vec) != m.eng.NumShards() {
+// resume implements Source.Resume: under one quiesce of eng it checks the
+// cursor against the retained ring and, when covered, collects the replay
+// and registers the tail subscription — the same atomicity bootstrap
+// gets, so replay + tail carries every batch after vec exactly once.
+func (h *tailHub) resume(eng Engine, vec []uint64, buffer int) ([]Batch, []uint64, *TailReader, bool, error) {
+	if len(vec) != eng.NumShards() {
 		return nil, nil, nil, false, fmt.Errorf("wal: resume vector has %d shards, engine has %d",
-			len(vec), m.eng.NumShards())
+			len(vec), eng.NumShards())
 	}
 	var (
 		replay []Batch
@@ -292,22 +296,35 @@ func (m *Manager) Resume(vec []uint64, buffer int) ([]Batch, []uint64, *TailRead
 		tr     *TailReader
 		ok     bool
 	)
-	m.eng.Quiesce(func() {
-		if replay, cur, ok = m.hub.replayAfter(vec); ok {
-			tr = m.hub.subscribe(buffer)
+	eng.Quiesce(func() {
+		if replay, cur, ok = h.replayAfter(vec); ok {
+			tr = h.subscribe(buffer)
 		}
 	})
+	if ok && tr == nil {
+		return nil, nil, nil, false, fmt.Errorf("wal: resume after close")
+	}
 	return replay, cur, tr, ok, nil
 }
 
-// shardEpochs reads every shard's committed epoch. Callers hold an engine
-// quiesce, so the vector is a consistent commit point.
-func shardEpochs(eng Engine) []uint64 {
-	vec := make([]uint64, eng.NumShards())
-	for si := range vec {
-		vec[si] = eng.ShardEpoch(si)
-	}
-	return vec
+// NumVertices returns the attached engine's vertex count.
+func (m *Manager) NumVertices() int { return m.eng.NumVertices() }
+
+// NumShards returns the attached engine's shard count.
+func (m *Manager) NumShards() int { return m.eng.NumShards() }
+
+// Bootstrap implements Source. Works while degraded (replication does not
+// depend on the disk) but not after Close.
+func (m *Manager) Bootstrap(buffer int) ([]ShardState, *TailReader, error) {
+	return m.hub.bootstrap(m.eng, buffer)
+}
+
+// SetRetain implements Source.
+func (m *Manager) SetRetain(n int) { m.hub.retainFrom(m.eng, n) }
+
+// Resume implements Source.
+func (m *Manager) Resume(vec []uint64, buffer int) ([]Batch, []uint64, *TailReader, bool, error) {
+	return m.hub.resume(m.eng, vec, buffer)
 }
 
 // TailSource adapts a bare engine (no WAL attached) to Source by
@@ -334,48 +351,17 @@ func (t *TailSource) NumVertices() int { return t.eng.NumVertices() }
 // NumShards returns the engine's shard count.
 func (t *TailSource) NumShards() int { return t.eng.NumShards() }
 
-// Bootstrap implements Source (see Manager.Bootstrap).
+// Bootstrap implements Source.
 func (t *TailSource) Bootstrap(buffer int) ([]ShardState, *TailReader, error) {
-	if t.closed.Load() {
-		return nil, nil, fmt.Errorf("wal: bootstrap after close")
-	}
-	states := make([]ShardState, t.eng.NumShards())
-	var tr *TailReader
-	t.eng.Quiesce(func() {
-		for si := range states {
-			states[si] = t.eng.ShardDurable(si)
-		}
-		tr = t.hub.subscribe(buffer)
-	})
-	return states, tr, nil
+	return t.hub.bootstrap(t.eng, buffer)
 }
 
-// SetRetain implements Source (see Manager.SetRetain).
-func (t *TailSource) SetRetain(n int) {
-	t.eng.Quiesce(func() { t.hub.setRetain(n, shardEpochs(t.eng)) })
-}
+// SetRetain implements Source.
+func (t *TailSource) SetRetain(n int) { t.hub.retainFrom(t.eng, n) }
 
-// Resume implements Source (see Manager.Resume).
+// Resume implements Source.
 func (t *TailSource) Resume(vec []uint64, buffer int) ([]Batch, []uint64, *TailReader, bool, error) {
-	if t.closed.Load() {
-		return nil, nil, nil, false, fmt.Errorf("wal: resume after close")
-	}
-	if len(vec) != t.eng.NumShards() {
-		return nil, nil, nil, false, fmt.Errorf("wal: resume vector has %d shards, engine has %d",
-			len(vec), t.eng.NumShards())
-	}
-	var (
-		replay []Batch
-		cur    []uint64
-		tr     *TailReader
-		ok     bool
-	)
-	t.eng.Quiesce(func() {
-		if replay, cur, ok = t.hub.replayAfter(vec); ok {
-			tr = t.hub.subscribe(buffer)
-		}
-	})
-	return replay, cur, tr, ok, nil
+	return t.hub.resume(t.eng, vec, buffer)
 }
 
 // Close uninstalls the batch hook and drops every subscriber.

@@ -35,9 +35,11 @@
 // View's epoch is held for as long as the pin, and reads of epochs that
 // aged out fail with errors matching ErrEpochEvicted.
 //
-// Updates must be issued from one goroutine at a time (any number of
-// concurrent updaters with WithShards); reads may be issued from any number
-// of goroutines at any time, including concurrently with a running batch.
+// Update calls (InsertEdges, DeleteEdges, ApplyBatch) are safe from any
+// number of goroutines: they serialize on a single engine and coalesce
+// across shards with WithShards(p > 1). Reads may be issued from any
+// number of goroutines at any time, including concurrently with a running
+// batch.
 package kcore
 
 import (
@@ -128,10 +130,10 @@ func WithWorkers(n int) Option {
 // default single-engine configuration (as is WithShards(0)); negative p is
 // rejected by New.
 //
-// With p > 1, InsertEdges, DeleteEdges and ApplyBatch become safe for
-// concurrent callers — submissions queued behind an in-flight batch are
-// coalesced into per-shard sub-batches and applied to the shards in
-// parallel. Coreness reads stay lock-free and route directly to the
+// With p > 1, concurrent InsertEdges, DeleteEdges and ApplyBatch calls
+// queued behind an in-flight batch are coalesced into per-shard
+// sub-batches and applied to the shards in parallel (with one shard they
+// serialize). Coreness reads stay lock-free and route directly to the
 // vertex's owning shard. The estimate returned for v is then the
 // (2+ε)-approximate coreness of v in its owning shard's subgraph (all
 // edges incident to the shard's vertices). Because that subgraph's exact
@@ -322,13 +324,13 @@ func WithEventBuffer(n int) Option {
 // and the sharded backend (WithShards); there is no per-method branching on
 // the mode.
 //
-// Concurrency: without sharding (the default), InsertEdges and DeleteEdges
-// must be called by a single updater goroutine at a time (each call is
-// internally parallel). With WithShards(p > 1), the edge-batch update
-// methods (InsertEdges, DeleteEdges, ApplyBatch — not RemoveVertex) are
-// safe for concurrent callers and are coalesced by the sharded engine.
-// Coreness, CorenessNonLinearizable, CorenessBlocking, View and all View
-// reads may be called from any goroutine at any time in either mode.
+// Concurrency: the edge-batch update methods (InsertEdges, DeleteEdges,
+// ApplyBatch — not RemoveVertex) are safe for concurrent callers at every
+// shard count. With one shard (the default) concurrent calls serialize,
+// each call internally parallel; with WithShards(p > 1) calls queued behind
+// an in-flight batch are coalesced into per-shard sub-batches. Coreness,
+// CorenessNonLinearizable, CorenessBlocking, View and all View reads may be
+// called from any goroutine at any time in either mode.
 type Decomposition struct {
 	eng engine
 	wal *wal.Manager // nil without WithWAL
@@ -529,39 +531,22 @@ func (d *Decomposition) ReplicationAddr() string {
 	return d.feederLn.Addr().String()
 }
 
+// FeederStats is the primary side of ReplicationStats: follower
+// connections, bootstraps and resumes served, records and bytes shipped.
+type FeederStats = replica.FeederStats
+
+// FollowerStats is the follower side of ReplicationStats: connection and
+// sync state, lag in epochs and bytes, records applied, bootstraps and
+// resumes.
+type FollowerStats = replica.FollowerStats
+
 // ReplicationStats is a point-in-time snapshot of the replication role.
-// Exactly one side's fields are populated, per Role.
+// Exactly one of Feeder and Follower is set, per Role.
 type ReplicationStats struct {
-	Role string // "primary" or "follower"
-
-	// Primary (feeder) side.
-	ListenAddr       string // bound replication listener address
-	Followers        int    // currently connected followers
-	Connects         uint64 // follower connections accepted since start
-	FeederBootstraps uint64 // bootstraps served
-	FeederResumes    uint64 // reconnects served from the retained ring (no snapshot)
-	ResumeRejects    uint64 // resume cursors outside retention, told to re-bootstrap
-	RecordsShipped   uint64
-	BytesShipped     uint64
-	Overruns         uint64 // followers dropped for falling behind the tail buffer
-	Paused           bool   // fault-drill pause hook engaged
-
-	// Follower side.
-	Primary               string // normalized primary base URL
-	Connected             bool   // stream currently established
-	Synced                bool   // bootstrapped on the current connection
-	PrimaryEpoch          uint64 // newest epoch the primary announced
-	LagEpochs             uint64 // PrimaryEpoch - local Epoch (0 when caught up)
-	BytesReceived         uint64
-	BytesApplied          uint64
-	LagBytes              uint64 // received but not yet applied
-	RecordsApplied        uint64
-	Bootstraps            uint64 // bootstraps applied (>1 means re-bootstraps)
-	Resumes               uint64 // reconnects resumed from the applied vector (no snapshot)
-	Reconnects            uint64
-	LastRecordUnixNano    int64
-	LastHeartbeatUnixNano int64
-	Err                   string // last connection error ("" when healthy)
+	Role       string         `json:"role"`                  // "primary" or "follower"
+	ListenAddr string         `json:"listen_addr,omitempty"` // bound replication listener (primary)
+	Feeder     *FeederStats   `json:"feeder,omitempty"`
+	Follower   *FollowerStats `json:"follower,omitempty"`
 }
 
 // ReplicationStats reports the replication state; ok is false when neither
@@ -571,68 +556,20 @@ func (d *Decomposition) ReplicationStats() (stats ReplicationStats, ok bool) {
 	switch {
 	case d.feeder != nil:
 		s := d.feeder.Stats()
-		return ReplicationStats{
-			Role:             "primary",
-			ListenAddr:       d.ReplicationAddr(),
-			Followers:        s.Followers,
-			Connects:         s.Connects,
-			FeederBootstraps: s.Bootstraps,
-			FeederResumes:    s.Resumes,
-			ResumeRejects:    s.ResumeRejects,
-			RecordsShipped:   s.RecordsShipped,
-			BytesShipped:     s.BytesShipped,
-			Overruns:         s.Overruns,
-			Paused:           s.Paused,
-		}, true
+		return ReplicationStats{Role: "primary", ListenAddr: d.ReplicationAddr(), Feeder: &s}, true
 	case d.follower != nil:
 		s := d.follower.Stats()
-		return ReplicationStats{
-			Role:                  "follower",
-			Primary:               s.Primary,
-			Connected:             s.Connected,
-			Synced:                s.Synced,
-			PrimaryEpoch:          s.PrimaryEpoch,
-			LagEpochs:             s.LagEpochs,
-			BytesReceived:         s.BytesReceived,
-			BytesApplied:          s.BytesApplied,
-			LagBytes:              s.LagBytes,
-			RecordsApplied:        s.RecordsApplied,
-			Bootstraps:            s.Bootstraps,
-			Resumes:               s.Resumes,
-			Reconnects:            s.Reconnects,
-			LastRecordUnixNano:    s.LastRecordUnixNano,
-			LastHeartbeatUnixNano: s.LastHeartbeatUnixNano,
-			Err:                   s.Err,
-		}, true
+		return ReplicationStats{Role: "follower", Follower: &s}, true
 	}
 	return ReplicationStats{}, false
 }
 
 // DurabilityStats is a point-in-time snapshot of the write-ahead log:
-// sizes, logged/recovered batch counts and the last snapshot/fsync marks.
-type DurabilityStats struct {
-	Dir                  string // log directory
-	Sync                 string // fsync policy ("none", "interval", "always")
-	Segments             int    // live log segment files
-	LogBytes             int64  // total bytes across live segments
-	LoggedBatches        uint64 // batches appended since open
-	RecoveredBatches     uint64 // batches replayed from the log tail at open
-	Snapshots            uint64 // snapshots taken since open
-	LastSnapshotEpoch    uint64 // global epoch of the newest snapshot (0 = none)
-	LastSnapshotUnixNano int64  // wall clock of the newest snapshot (0 = none)
-	LastSyncUnixNano     int64  // wall clock of the last fsync (0 = never)
-	AppendRetries        uint64 // failed appends repaired in place by retry
-	Err                  string // last durability error ("" = healthy; cleared by re-attach)
-
-	// Degraded reports that the log gave up on persisting batches after an
-	// I/O failure: updates and reads keep working, but batches apply only
-	// in memory until a re-attach (background loop, Reattach or Snapshot)
-	// succeeds.
-	Degraded              bool
-	DegradedSinceUnixNano int64  // wall clock of the degradation (0 = healthy)
-	DroppedBatches        uint64 // batches applied but not logged while degraded
-	Reattaches            uint64 // successful re-attach cycles
-}
+// sizes, logged/recovered batch counts, the last snapshot/fsync marks and
+// the degraded-mode state (Degraded reports that the log gave up on
+// persisting batches after an I/O failure: updates and reads keep
+// working, but batches apply only in memory until a re-attach succeeds).
+type DurabilityStats = wal.Stats
 
 // DurabilityStats reports the write-ahead log's state; ok is false
 // without WithWAL. Safe to call at any time.
@@ -640,26 +577,7 @@ func (d *Decomposition) DurabilityStats() (stats DurabilityStats, ok bool) {
 	if d.wal == nil {
 		return DurabilityStats{}, false
 	}
-	s := d.wal.Stats()
-	return DurabilityStats{
-		Dir:                  s.Dir,
-		Sync:                 s.Sync,
-		Segments:             s.Segments,
-		LogBytes:             s.LogBytes,
-		LoggedBatches:        s.LoggedBatches,
-		RecoveredBatches:     s.RecoveredBatches,
-		Snapshots:            s.Snapshots,
-		LastSnapshotEpoch:    s.LastSnapshotEpoch,
-		LastSnapshotUnixNano: s.LastSnapshotUnixNano,
-		LastSyncUnixNano:     s.LastSyncUnixNano,
-		AppendRetries:        s.AppendRetries,
-		Err:                  s.Err,
-
-		Degraded:              s.Degraded,
-		DegradedSinceUnixNano: s.DegradedSinceUnixNano,
-		DroppedBatches:        s.DroppedBatches,
-		Reattaches:            s.Reattaches,
-	}, true
+	return d.wal.Stats(), true
 }
 
 // --- change feed ---
@@ -719,46 +637,20 @@ func (d *Decomposition) FeedStats() FeedStats { return d.hub.Stats() }
 // Shards returns the number of shards (1 unless WithShards was used).
 func (d *Decomposition) Shards() int { return d.eng.NumShards() }
 
-// ShardLoad is a point-in-time load snapshot of one shard: the
-// observability surface for spotting hot shards and (eventually) driving
-// vertex migration between them.
-type ShardLoad struct {
-	Shard         int    // shard index
-	OwnedVertices int    // vertices hashed to this shard
-	PrimaryEdges  int64  // distinct global edges it owns
-	LocalEdges    int64  // edges in its local subgraph (incl. mirrored cut edges)
-	Batches       uint64 // coalesced update batches applied
-	Inserted      int64  // cumulative edges applied locally
-	Deleted       int64
-}
+// ShardLoad is a point-in-time load snapshot of one shard: owned
+// vertices, primary and local (incl. mirrored cut) edges, coalesced
+// batches applied and cumulative edges applied locally.
+type ShardLoad = shard.Stats
 
-// ShardStats returns per-shard load statistics. With sharding it is safe to
-// call concurrently with updates and reads; without sharding the single
-// entry reflects the whole engine and must not race an update batch (the
-// edge count is not synchronized in that mode).
-func (d *Decomposition) ShardStats() []ShardLoad {
-	stats := d.eng.Stats()
-	out := make([]ShardLoad, len(stats))
-	for i, s := range stats {
-		out[i] = ShardLoad{
-			Shard:         s.Shard,
-			OwnedVertices: s.OwnedVertices,
-			PrimaryEdges:  s.PrimaryEdges,
-			LocalEdges:    s.LocalEdges,
-			Batches:       s.Batches,
-			Inserted:      s.Inserted,
-			Deleted:       s.Deleted,
-		}
-	}
-	return out
-}
+// ShardStats returns per-shard load statistics. Safe to call concurrently
+// with updates and reads.
+func (d *Decomposition) ShardStats() []ShardLoad { return d.eng.Stats() }
 
 // NumVertices returns the (fixed) number of vertices.
 func (d *Decomposition) NumVertices() int { return d.eng.NumVertices() }
 
-// NumEdges returns the number of edges currently in the graph. Without
-// sharding it must not be called concurrently with an update batch; with
-// sharding it is safe at any time.
+// NumEdges returns the number of edges currently in the graph, as of the
+// last completed update batch. Safe to call at any time.
 func (d *Decomposition) NumEdges() int64 { return d.eng.NumEdges() }
 
 // ApproxFactor returns the theoretical approximation factor of coreness
@@ -825,7 +717,10 @@ func (d *Decomposition) DeleteEdges(edges []Edge) int {
 // sub-batches during pre-processing", §2). It returns the number of edges
 // inserted and deleted. Concurrent reads remain linearizable; each
 // sub-batch is its own atomicity unit (per shard, when sharded) and
-// commits its own epoch.
+// commits its own epoch, while the whole call is one write-ahead-log and
+// replication record. An edge named in both lists is inserted, then
+// deleted; with WithShards(p > 1) the two are coalesced and only the
+// deletion applies.
 func (d *Decomposition) ApplyBatch(insertions, deletions []Edge) (inserted, deleted int) {
 	if d.ReadOnly() {
 		return 0, 0
