@@ -94,9 +94,9 @@ func (c *compiled) match(e Event) bool {
 // re-read the vertices you care about with an epoch-pinned read at GapTo
 // (or any later epoch) to resynchronize.
 type Delivery struct {
-	Epoch  uint64
-	Events []Event
-	Gap    bool
+	Epoch   uint64
+	Events  []Event
+	Gap     bool
 	GapFrom uint64
 	GapTo   uint64
 }
@@ -104,11 +104,11 @@ type Delivery struct {
 // Stats is a snapshot of the hub's counters.
 type Stats struct {
 	Subscribers int    `json:"subscribers"`
-	Epochs      uint64 `json:"epochs"`      // commits published to the hub
-	Events      uint64 `json:"events"`      // events offered (pre-filter, per commit)
-	Deliveries  uint64 `json:"deliveries"`  // deliveries enqueued across subscribers
-	Drops       uint64 `json:"drops"`       // deliveries dropped at full buffers
-	Gaps        uint64 `json:"gaps"`        // gap markers enqueued
+	Epochs      uint64 `json:"epochs"`     // commits published to the hub
+	Events      uint64 `json:"events"`     // events offered (pre-filter, per commit)
+	Deliveries  uint64 `json:"deliveries"` // deliveries enqueued across subscribers
+	Drops       uint64 `json:"drops"`      // deliveries dropped at full buffers
+	Gaps        uint64 `json:"gaps"`       // gap markers enqueued
 }
 
 var (

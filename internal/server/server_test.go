@@ -174,6 +174,10 @@ func TestBatchEndpoint(t *testing.T) {
 	if st.Edges != 3 || st.Inserted != 5 || st.Deleted != 2 {
 		t.Fatalf("stats after batches %+v", st)
 	}
+	// Two calls are two rounds; they commit three sub-batches.
+	if st.Batches != 2 || st.Epoch != 3 {
+		t.Fatalf("stats after batches: %d batches at epoch %d, want 2 at 3", st.Batches, st.Epoch)
+	}
 }
 
 func TestBatchEndpointErrorPaths(t *testing.T) {

@@ -13,12 +13,12 @@ import (
 var _ wal.Engine = (*Engine)(nil)
 
 // SetBatchLog installs fn, called synchronously inside each shard's
-// one-updater section after every coalesced batch round commits — per
-// shard, records are therefore produced in local commit order, which is
-// the commit-vector order the multi-version vector log assigns to global
-// epochs. The Batch's edge slices alias the round's coalescing buffers
-// and are only valid for the duration of the call. Install before the
-// engine serves updates (or under Quiesce); nil uninstalls.
+// one-updater section after every round commits — per shard, records are
+// therefore produced in local commit order, which is the commit-vector
+// order the multi-version vector log assigns to global epochs. The Batch's
+// edge slices alias the round's buffers (or the caller's lists) and are
+// only valid for the duration of the call. Install before the engine
+// serves updates (or under Quiesce); nil uninstalls.
 func (e *Engine) SetBatchLog(fn func(wal.Batch)) { e.batchLog = fn }
 
 // Quiesce runs f while every shard's apply lock is held (acquired in
@@ -37,38 +37,10 @@ func (e *Engine) Quiesce(f func()) {
 	f()
 }
 
-// ApplyLogged re-applies one logged batch round to its shard with exactly
-// the accounting of the live path (drainAndApplyLocked): presence and
-// primary-ownership are evaluated against the pre-round graph, then the
-// insert and delete sub-batches run in order. Single-threaded recovery
-// use only.
-func (e *Engine) ApplyLogged(b wal.Batch) {
-	s := e.shards[b.Shard]
-	g := s.c.Graph()
-	for _, ed := range b.Ins {
-		if e.ShardOf(ed.U) == b.Shard && !g.HasEdge(ed.U, ed.V) {
-			e.numEdges.Add(1)
-			s.primaryEdges.Add(1)
-		}
-	}
-	for _, ed := range b.Del {
-		if e.ShardOf(ed.U) == b.Shard && g.HasEdge(ed.U, ed.V) {
-			e.numEdges.Add(-1)
-			s.primaryEdges.Add(-1)
-		}
-	}
-	if b.HasIns {
-		applied := int64(s.c.InsertBatch(b.Ins))
-		s.inserted.Add(applied)
-		s.localEdges.Add(applied)
-	}
-	if b.HasDel {
-		applied := int64(s.c.DeleteBatch(b.Del))
-		s.deleted.Add(applied)
-		s.localEdges.Add(-applied)
-	}
-	s.batches.Add(1)
-}
+// ApplyLogged re-applies one logged round to its shard through
+// applyRound, the live rounds' apply path. Single-threaded recovery use
+// only (a replication follower holds Quiesce).
+func (e *Engine) ApplyLogged(b wal.Batch) { e.applyRound(e.shards[b.Shard], b, false) }
 
 // ShardDurable captures shard si's durable state: a CSR copy of its local
 // subgraph, its levels, its local committed epoch and its cumulative

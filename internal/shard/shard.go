@@ -1,7 +1,7 @@
-// Package shard provides a sharded CPLDS engine: vertices are hash-
-// partitioned across P independent cplds.CPLDS instances, fronted by a
-// batch-coalescing scheduler that accepts concurrent update submissions
-// from any number of goroutines.
+// Package shard provides the CPLDS engine behind every Decomposition:
+// vertices are hash-partitioned across P ≥ 1 independent cplds.CPLDS
+// instances, fronted by a batch-coalescing scheduler that accepts
+// concurrent update submissions from any number of goroutines.
 //
 // # Partitioning
 //
@@ -10,20 +10,22 @@
 // into the shard owning v, so every shard's local subgraph contains all
 // edges incident to the vertices it owns. Coreness reads of v route
 // directly to v's owning shard and use the CPLDS lock-free linearizable
-// read protocol there: reads never block on updates, exactly as in the
-// single-engine case.
+// read protocol there: reads never block on updates.
 //
 // # Scheduling
 //
 // Updates are submitted via Apply/Insert/Delete, which may be called
-// concurrently. Each submission is split into per-shard sub-batches and
-// enqueued; per shard, a combining lock drains everything queued, coalesces
-// it into one CPLDS batch (deduping opposing insert/delete pairs of the
-// same edge — the latest submission wins), and applies it under that
-// shard's one-updater contract. Sub-batches of distinct shards are applied
-// in parallel. A caller's submission is thus folded into at most one CPLDS
-// batch per shard together with every other submission that queued behind
-// the same in-flight batch.
+// concurrently. A submission is enqueued, by reference, on every shard
+// holding one of its edges; per shard, a combining lock drains everything
+// queued and applies it as one round: an insertion sub-batch, then a
+// deletion sub-batch, under that shard's one-updater contract. At P = 1 a
+// round that drains one submission hands its lists to the CPLDS as they
+// are. Otherwise the round coalesces the drained submissions, picking out
+// the edges the shard holds: of an edge several of them name, the latest
+// submission wins and contributes its insertion and/or deletion of it.
+// Rounds of distinct shards run in parallel. A caller's submission is thus
+// folded into at most one round per shard, together with every other
+// submission that queued behind the same in-flight round.
 //
 // Cross-shard enqueue of one submission is atomic and globally ordered, so
 // the two mirror copies of a cut edge always converge to the same presence
@@ -32,8 +34,8 @@
 // # Semantics
 //
 // Each shard maintains the paper's (2+3/λ)(1+δ)-approximation over its
-// local subgraph (the edges incident to its owned vertices). For P = 1 the
-// engine is semantically identical to a single CPLDS. For P > 1 the
+// local subgraph (the edges incident to its owned vertices). For P = 1 that
+// is the global graph and the guarantee is the paper's. For P > 1 the
 // estimate returned for v approximates v's coreness in its owning shard's
 // subgraph. The subgraph's exact coreness never exceeds the global
 // coreness, so the estimate still respects the upper side of the bound
@@ -45,8 +47,10 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -60,48 +64,45 @@ import (
 	"kcore/internal/wal"
 )
 
-// opKind distinguishes the two edge operations in a coalesced batch.
-type opKind uint8
-
-const (
-	opInsert opKind = iota
-	opDelete
-)
-
-// entry is one (edge, operation) pair routed to a shard. primary marks the
-// copy that owns accounting for the edge (the owner shard of the canonical
-// lower endpoint), so mirrored cut edges are counted exactly once.
-type entry struct {
-	e       graph.Edge
-	kind    opKind
-	primary bool
+// submission is one caller's update call. It references the caller's
+// slices: Apply blocks until every shard the call touches has applied
+// them, so they stay valid for as long as any queue holds the submission.
+type submission struct {
+	ins, del          []graph.Edge
+	inserted, deleted atomic.Int64 // credited by the rounds that apply it
 }
 
-// subOp is the portion of one caller submission routed to one shard.
-type subOp struct {
-	entries []entry
-	op      *pendingOp
-	done    atomic.Bool
-}
-
-// pendingOp aggregates the per-shard results of one caller submission.
-type pendingOp struct {
-	inserted atomic.Int64
-	deleted  atomic.Int64
+// rec is one valid edge of one drained submission in a coalescing round;
+// sub is the submission's position in the drained queue.
+type rec struct {
+	e   graph.Edge
+	sub int32
+	ins bool // named in the submission's insertion list (else deletion)
 }
 
 // shardState is one shard: a CPLDS over the local subgraph plus its
-// scheduler queue, combining lock and load counters.
+// scheduler queue, combining lock, coalescing scratch and load counters.
 type shardState struct {
 	c   *cplds.CPLDS
 	idx int // this shard's index (for batch-log records)
 
-	qmu   sync.Mutex
-	queue []*subOp
+	qmu      sync.Mutex
+	queue    []*submission
+	enqueued uint64        // submissions ever queued (under qmu); a submission's ticket
+	applied  atomic.Uint64 // submissions whose round has committed, in ticket order
 
 	applyMu sync.Mutex // held while draining + applying (the one updater)
 
-	batches atomic.Uint64 // coalesced batches applied on this shard
+	// Round scratch, owned by the applyMu holder and reused across rounds
+	// (see round, coalesce and observe).
+	drained        []*submission
+	recs           []rec
+	ins, del       []graph.Edge
+	insWin, delWin []int32
+	changes        []bool
+	cred           []int64
+
+	batches atomic.Uint64 // rounds applied on this shard
 
 	// lastGlobal is the global epoch assigned to this shard's most recent
 	// commit, written inside the commit hook and read by the change-feed
@@ -159,7 +160,7 @@ type Engine struct {
 	feedEpoch uint64
 
 	// batchLog, when non-nil, receives one wal.Batch per committed
-	// coalesced round, invoked inside the committing shard's one-updater
+	// round, invoked inside the committing shard's one-updater
 	// section (see SetBatchLog). Installed before the engine serves
 	// traffic or under Quiesce, so no synchronization beyond applyMu is
 	// needed on the read side.
@@ -200,8 +201,7 @@ func (e *Engine) ApproxFactor() float64 { return e.params.ApproxFactor() }
 // with updates; the value is the count as of the last completed accounting.
 func (e *Engine) NumEdges() int64 { return e.numEdges.Load() }
 
-// Batches returns the total number of coalesced batches applied across all
-// shards.
+// Batches returns the total number of rounds applied across all shards.
 func (e *Engine) Batches() uint64 {
 	var total uint64
 	for _, s := range e.shards {
@@ -711,148 +711,232 @@ func (e *Engine) Delete(edges []graph.Edge) int {
 	return del
 }
 
-// Apply submits a mixed batch. Within one call, a deletion of an edge
-// overrides an insertion of the same edge (deletions are the later
-// sub-batch, as in the single-engine ApplyBatch). Returns the number of
-// edges this call actually inserted and deleted. Safe for concurrent
-// callers; concurrent submissions to the same shard are coalesced into one
-// CPLDS batch.
+// Apply submits a mixed batch: an insertion sub-batch followed by a
+// deletion sub-batch (paper §2), so an edge named in both lists is
+// inserted, then deleted. Self-loops and out-of-range endpoints are
+// ignored, and a call without a valid edge commits nothing. Returns the
+// number of edges this call actually inserted and deleted. Safe for
+// concurrent callers: calls queued on a shard behind its in-flight round
+// are coalesced into its next round.
 func (e *Engine) Apply(insertions, deletions []graph.Edge) (inserted, deleted int) {
-	// Normalize and dedupe within the call: canonical form, in-range,
-	// no self-loops; delete-after-insert of the same edge leaves a delete.
-	ops := make(map[graph.Edge]opKind, len(insertions)+len(deletions))
-	n := uint32(e.n)
-	addAll := func(edges []graph.Edge, k opKind) {
-		for _, ed := range edges {
-			if ed.IsSelfLoop() || ed.U >= n || ed.V >= n {
-				continue
-			}
-			ops[ed.Canon()] = k
-		}
-	}
-	addAll(insertions, opInsert)
-	addAll(deletions, opDelete)
-	if len(ops) == 0 {
-		return 0, 0
-	}
-
-	// Split into per-shard sub-batches with cut-edge mirroring.
-	perShard := make(map[int][]entry, e.p)
-	for ed, k := range ops {
-		su, sv := e.ShardOf(ed.U), e.ShardOf(ed.V)
-		perShard[su] = append(perShard[su], entry{e: ed, kind: k, primary: true})
-		if sv != su {
-			perShard[sv] = append(perShard[sv], entry{e: ed, kind: k})
-		}
-	}
-	op := &pendingOp{}
-	subs := make(map[int]*subOp, len(perShard))
+	sub := &submission{ins: insertions, del: deletions}
+	tickets := make([]uint64, e.p)
+	e.route(sub, tickets)
 
 	// Enqueue atomically across shards so every shard queue observes
 	// submissions in the same global order (mirror convergence).
 	e.submitMu.Lock()
-	for si, entries := range perShard {
-		sub := &subOp{entries: entries, op: op}
-		subs[si] = sub
-		s := e.shards[si]
-		s.qmu.Lock()
-		s.queue = append(s.queue, sub)
-		s.qmu.Unlock()
+	for si, t := range tickets {
+		if t != 0 {
+			s := e.shards[si]
+			s.qmu.Lock()
+			s.queue = append(s.queue, sub)
+			s.enqueued++
+			tickets[si] = s.enqueued
+			s.qmu.Unlock()
+		}
 	}
 	e.submitMu.Unlock()
 
-	// Flush the touched shards in parallel. Each flush loops until this
-	// call's sub-batch has been applied — by us or by whichever caller
-	// currently holds the shard's combining lock.
-	thunks := make([]func(), 0, len(subs))
-	for si, sub := range subs {
-		s, sub := e.shards[si], sub
-		thunks = append(thunks, func() {
-			for !sub.done.Load() {
-				s.applyMu.Lock()
-				s.drainAndApplyLocked(e)
-				s.applyMu.Unlock()
-			}
-		})
+	// Flush the touched shards in parallel. Each flush runs rounds until
+	// this call's submission has been applied there — by us or by whichever
+	// caller currently holds the shard's combining lock.
+	var thunks []func()
+	for si, t := range tickets {
+		if t != 0 {
+			s := e.shards[si]
+			thunks = append(thunks, func() {
+				for s.applied.Load() < t {
+					s.applyMu.Lock()
+					s.round(e)
+					s.applyMu.Unlock()
+				}
+			})
+		}
 	}
 	parallel.Do(thunks...)
-	return int(op.inserted.Load()), int(op.deleted.Load())
+	return int(sub.inserted.Load()), int(sub.deleted.Load())
 }
 
-// drainAndApplyLocked drains the shard's queue, coalesces the drained
-// sub-batches into one insert batch and one delete batch (latest
-// submission wins per edge), applies them to the shard's CPLDS, and
-// completes the drained sub-ops. Caller holds s.applyMu.
-func (s *shardState) drainAndApplyLocked(e *Engine) {
+// valid reports whether ed is an edge of the graph: no self-loop, both
+// endpoints in range.
+func (e *Engine) valid(ed graph.Edge) bool {
+	return !ed.IsSelfLoop() && ed.U < uint32(e.n) && ed.V < uint32(e.n)
+}
+
+// route marks in touched every shard holding a copy of a valid edge of
+// sub. With one shard, the first valid edge decides.
+func (e *Engine) route(sub *submission, touched []uint64) {
+	for _, list := range [2][]graph.Edge{sub.ins, sub.del} {
+		for _, ed := range list {
+			if e.valid(ed) {
+				touched[e.ShardOf(ed.U)], touched[e.ShardOf(ed.V)] = 1, 1
+				if e.p == 1 {
+					return
+				}
+			}
+		}
+	}
+}
+
+// anyValid reports whether list holds a valid edge.
+func (e *Engine) anyValid(list []graph.Edge) bool {
+	for _, ed := range list {
+		if e.valid(ed) {
+			return true
+		}
+	}
+	return false
+}
+
+// round drains the shard's queue and applies everything drained as one
+// round. With one shard, a lone drained submission's lists pass straight
+// to the CPLDS, which normalizes them, and its counts are the batch
+// results; otherwise the drained submissions are coalesced first. The
+// round is logged before its submissions are acknowledged, so a caller's
+// return implies its batch is in the log (durable, under the fsync-always
+// policy). Caller holds s.applyMu.
+func (s *shardState) round(e *Engine) {
 	s.qmu.Lock()
-	subs := s.queue
-	s.queue = nil
+	s.queue, s.drained = s.drained[:0], s.queue
 	s.qmu.Unlock()
+	subs := s.drained
 	if len(subs) == 0 {
 		return
 	}
-
-	// Coalesce: the queue is in global submission order, so iterating in
-	// order and overwriting implements latest-submission-wins.
-	type winner struct {
-		ent entry
-		sub *subOp
-	}
-	final := make(map[graph.Edge]winner, len(subs[0].entries))
-	for _, sub := range subs {
-		for _, ent := range sub.entries {
-			final[ent.e] = winner{ent: ent, sub: sub}
-		}
-	}
-
-	var ins, del []graph.Edge
-	g := s.c.Graph() // quiescent: we are this shard's only updater
-	for ed, w := range final {
-		present := g.HasEdge(ed.U, ed.V)
-		if w.ent.kind == opInsert {
-			ins = append(ins, ed)
-			if w.ent.primary && !present {
-				w.sub.op.inserted.Add(1)
-				e.numEdges.Add(1)
-				s.primaryEdges.Add(1)
-			}
-		} else {
-			del = append(del, ed)
-			if w.ent.primary && present {
-				w.sub.op.deleted.Add(1)
-				e.numEdges.Add(-1)
-				s.primaryEdges.Add(-1)
+	b := wal.Batch{Shard: s.idx}
+	if e.p == 1 && len(subs) == 1 {
+		sub := subs[0]
+		b.Ins, b.Del, b.HasIns, b.HasDel = sub.ins, sub.del, e.anyValid(sub.ins), e.anyValid(sub.del)
+		ins, del := e.applyRound(s, b, false)
+		sub.inserted.Add(int64(ins))
+		sub.deleted.Add(int64(del))
+	} else {
+		s.coalesce(e, subs)
+		b.Ins, b.Del, b.HasIns, b.HasDel = s.ins, s.del, len(s.ins) > 0, len(s.del) > 0
+		e.applyRound(s, b, true)
+		// Credit each submission with the primary copies its winning
+		// edges changed, one add per counter per round.
+		cred := slices.Grow(s.cred[:0], 2*len(subs))[:2*len(subs)]
+		clear(cred)
+		for j, w := range s.insWin {
+			if s.changes[j] {
+				cred[2*w]++
 			}
 		}
+		for j, w := range s.delWin {
+			if s.changes[len(s.insWin)+j] {
+				cred[2*w+1]++
+			}
+		}
+		for i, sub := range subs {
+			sub.inserted.Add(cred[2*i])
+			sub.deleted.Add(cred[2*i+1])
+		}
+		s.cred = cred
 	}
-	if len(ins) > 0 {
-		applied := int64(s.c.InsertBatch(ins))
-		s.inserted.Add(applied)
-		s.localEdges.Add(applied)
-	}
-	if len(del) > 0 {
-		applied := int64(s.c.DeleteBatch(del))
-		s.deleted.Add(applied)
-		s.localEdges.Add(-applied)
-	}
-	s.batches.Add(1)
-	// Log the committed round before acknowledging the submissions, so a
-	// caller's return implies its batch is in the log (durable, under the
-	// fsync-always policy). The slices alias this round's buffers; the
-	// logger serializes them before returning.
 	if e.batchLog != nil {
-		e.batchLog(wal.Batch{
-			Shard:  s.idx,
-			Epoch:  s.c.Epoch(),
-			Ins:    ins,
-			Del:    del,
-			HasIns: len(ins) > 0,
-			HasDel: len(del) > 0,
-		})
+		b.Epoch = s.c.Epoch()
+		e.batchLog(b)
 	}
-	for _, sub := range subs {
-		sub.done.Store(true)
+	clear(subs)
+	s.applied.Add(uint64(len(subs)))
+}
+
+// coalesce folds the drained submissions into the sub-batches s.ins and
+// s.del, recording each edge's winner in insWin and delWin. Of every valid
+// edge with a copy on s, the latest submission naming it wins and
+// contributes its insertion and/or deletion, so the edge ends as that call
+// alone would leave it and the two copies of a cut edge converge.
+func (s *shardState) coalesce(e *Engine, subs []*submission) {
+	recs := s.recs[:0]
+	for i, sub := range subs {
+		recs = s.collect(e, recs, sub.ins, int32(i), true)
+		recs = s.collect(e, recs, sub.del, int32(i), false)
 	}
+	slices.SortFunc(recs, func(a, b rec) int {
+		return cmp.Or(cmp.Compare(a.e.U, b.e.U), cmp.Compare(a.e.V, b.e.V), cmp.Compare(a.sub, b.sub))
+	})
+	s.ins, s.del, s.insWin, s.delWin = s.ins[:0], s.del[:0], s.insWin[:0], s.delWin[:0]
+	for i := 0; i < len(recs); {
+		j := i + 1
+		for j < len(recs) && recs[j].e == recs[i].e {
+			j++
+		}
+		w := recs[j-1] // a record of the edge's latest submission
+		var ins, del bool
+		for k := j - 1; k >= i && recs[k].sub == w.sub; k-- {
+			ins, del = ins || recs[k].ins, del || !recs[k].ins
+		}
+		if ins {
+			s.ins, s.insWin = append(s.ins, w.e), append(s.insWin, w.sub)
+		}
+		if del {
+			s.del, s.delWin = append(s.del, w.e), append(s.delWin, w.sub)
+		}
+		i = j
+	}
+	s.recs = recs
+}
+
+// collect appends the canonical form of every valid edge of list that has
+// a copy on this shard.
+func (s *shardState) collect(e *Engine, recs []rec, list []graph.Edge, sub int32, ins bool) []rec {
+	for _, ed := range list {
+		if e.valid(ed) && (e.ShardOf(ed.U) == s.idx || e.ShardOf(ed.V) == s.idx) {
+			recs = append(recs, rec{e: ed.Canon(), sub: sub, ins: ins})
+		}
+	}
+	return recs
+}
+
+// applyRound applies a round's sub-batches to s, insertions first, and
+// adds it to the counters once. Live rounds and ApplyLogged both run it,
+// so replay accounts exactly as the live path did. With one shard the
+// edge counts are the batch results; with several, or when record is set,
+// it observes the primary copies before each sub-batch (coalesced lists
+// are canonical and deduplicated, which observe relies on).
+func (e *Engine) applyRound(s *shardState, b wal.Batch, record bool) (inserted, deleted int) {
+	check := record || e.p > 1
+	s.changes = s.changes[:0]
+	var primary int64
+	if b.HasIns {
+		if check {
+			primary += s.observe(e, b.Ins, false)
+		}
+		inserted = s.c.InsertBatch(b.Ins)
+	}
+	if b.HasDel {
+		if check {
+			primary -= s.observe(e, b.Del, true)
+		}
+		deleted = s.c.DeleteBatch(b.Del)
+	}
+	if e.p == 1 {
+		primary = int64(inserted - deleted)
+	}
+	s.inserted.Add(int64(inserted))
+	s.deleted.Add(int64(deleted))
+	s.localEdges.Add(int64(inserted - deleted))
+	s.primaryEdges.Add(primary)
+	e.numEdges.Add(primary)
+	s.batches.Add(1)
+	return inserted, deleted
+}
+
+// observe appends to s.changes, per edge of list, whether the sub-batch
+// changes its primary copy: the copy is on s and present is its presence
+// (false for an insertion, true for a deletion). It returns the count.
+func (s *shardState) observe(e *Engine, list []graph.Edge, present bool) (n int64) {
+	g := s.c.Graph() // quiescent: we are this shard's only updater
+	for _, ed := range list {
+		ch := e.ShardOf(ed.U) == s.idx && g.HasEdge(ed.U, ed.V) == present
+		s.changes = append(s.changes, ch)
+		if ch {
+			n++
+		}
+	}
+	return n
 }
 
 // Stats is a point-in-time snapshot of one shard's load — the observability
@@ -862,7 +946,7 @@ type Stats struct {
 	OwnedVertices int    `json:"owned_vertices"` // vertices hashed to this shard
 	PrimaryEdges  int64  `json:"primary_edges"`  // distinct global edges it owns
 	LocalEdges    int64  `json:"local_edges"`    // edges in its subgraph (incl. mirrored cut edges)
-	Batches       uint64 `json:"batches"`        // coalesced CPLDS batches applied
+	Batches       uint64 `json:"batches"`        // rounds applied
 	Inserted      int64  `json:"edges_inserted"` // cumulative edges applied locally
 	Deleted       int64  `json:"edges_deleted"`
 }

@@ -1,8 +1,12 @@
 package shard
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -102,31 +106,174 @@ func TestAppliedCountsMatchSingleEngineSemantics(t *testing.T) {
 
 func TestApplyDedupesInsertDeletePairs(t *testing.T) {
 	const n = 100
-	e := New(n, 4, defaultP())
+	for _, p := range []int{1, 4} {
+		e := New(n, p, defaultP())
 
-	// Same edge inserted and deleted in one submission: the deletion
-	// sub-batch wins (matching the single-engine insert-then-delete order),
-	// and since the edge was never present, neither side counts.
-	ins, del := e.Apply([]graph.Edge{{U: 1, V: 2}}, []graph.Edge{{U: 2, V: 1}})
-	if ins != 0 || del != 0 {
-		t.Fatalf("insert+delete of absent edge applied (%d,%d), want (0,0)", ins, del)
-	}
-	if e.LocalGraph(e.ShardOf(1)).HasEdge(1, 2) {
-		t.Fatal("edge survived an insert+delete pair")
-	}
+		// Same edge in both lists of one call: the insertion sub-batch
+		// adds it, then the deletion sub-batch removes it (paper §2).
+		ins, del := e.Apply([]graph.Edge{{U: 1, V: 2}}, []graph.Edge{{U: 2, V: 1}})
+		if ins != 1 || del != 1 {
+			t.Fatalf("P=%d: insert+delete of absent edge applied (%d,%d), want (1,1)", p, ins, del)
+		}
+		if e.LocalGraph(e.ShardOf(1)).HasEdge(1, 2) {
+			t.Fatalf("P=%d: edge survived an insert+delete pair", p)
+		}
 
-	// Present edge: the pair nets out to a deletion.
-	e.Insert([]graph.Edge{{U: 1, V: 2}})
-	ins, del = e.Apply([]graph.Edge{{U: 1, V: 2}}, []graph.Edge{{U: 1, V: 2}})
-	if ins != 0 || del != 1 {
-		t.Fatalf("insert+delete of present edge applied (%d,%d), want (0,1)", ins, del)
+		// Present edge: the insertion is a no-op, the deletion removes it.
+		e.Insert([]graph.Edge{{U: 1, V: 2}})
+		ins, del = e.Apply([]graph.Edge{{U: 1, V: 2}}, []graph.Edge{{U: 1, V: 2}})
+		if ins != 0 || del != 1 {
+			t.Fatalf("P=%d: insert+delete of present edge applied (%d,%d), want (0,1)", p, ins, del)
+		}
+		if got := e.NumEdges(); got != 0 {
+			t.Fatalf("P=%d: NumEdges %d, want 0", p, got)
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
 	}
-	if got := e.NumEdges(); got != 0 {
-		t.Fatalf("NumEdges %d, want 0", got)
+}
+
+// TestUpdateContract pins the update contract every shard count shares:
+// an edge named in both lists of a call is inserted, then deleted; calls
+// queued behind an in-flight round coalesce into one round, in which the
+// latest call naming an edge contributes its insertion and/or deletion of
+// it; a call without a valid edge commits no epoch; and Batches counts
+// rounds, not sub-batches. Each case runs on vertices of one shard (exact
+// epoch and round counts) and on vertices spread over the shards.
+func TestUpdateContract(t *testing.T) {
+	const n = 64
+	type call struct{ ins, del []graph.Edge }
+	type counts struct{ ins, del int }
+	es := func(ids ...uint32) []graph.Edge {
+		var out []graph.Edge
+		for i := 0; i < len(ids); i += 2 {
+			out = append(out, graph.Edge{U: ids[i], V: ids[i+1]})
+		}
+		return out
 	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		pre    []graph.Edge
+		calls  []call // queued together, so several calls coalesce
+		want   []counts
+		final  []graph.Edge // the edges present afterwards
+		epochs uint64       // with every edge on one shard
+	}{
+		{name: "insert then delete of an absent edge",
+			calls: []call{{ins: es(1, 2), del: es(2, 1)}}, want: []counts{{1, 1}}, epochs: 2},
+		{name: "insert then delete of a present edge", pre: es(1, 2),
+			calls: []call{{ins: es(1, 2), del: es(1, 2)}}, want: []counts{{0, 1}}, epochs: 2},
+		{name: "duplicates within a list",
+			calls: []call{{ins: es(1, 2, 2, 1, 1, 2)}}, want: []counts{{1, 0}}, final: es(1, 2), epochs: 1},
+		{name: "invalid edges only",
+			calls: []call{{ins: es(3, 3, 0, n), del: es(n+1, 1)}}, want: []counts{{0, 0}}},
+		{name: "empty call", calls: []call{{}}, want: []counts{{0, 0}}},
+		{name: "invalid insertions beside a deletion", pre: es(1, 2),
+			calls: []call{{ins: es(3, 3), del: es(1, 2)}}, want: []counts{{0, 1}}, epochs: 1},
+		{name: "concurrent calls coalesce, latest wins", pre: es(3, 4),
+			calls: []call{
+				{ins: es(1, 2, 5, 6)},
+				{del: es(2, 1, 3, 4)},
+				{ins: es(7, 8, 1, 2), del: es(5, 6, 8, 7)},
+			},
+			want: []counts{{0, 0}, {0, 1}, {2, 1}}, final: es(1, 2), epochs: 2},
 	}
+	for _, p := range []int{1, 4} {
+		for _, spread := range []bool{false, true} {
+			for _, tc := range cases {
+				e := New(n, p, defaultP())
+				// Map the case's vertex ids onto ten vertices of one shard,
+				// or onto themselves; out-of-range ids stay out of range.
+				var vs []uint32
+				for v := uint32(0); len(vs) < 10; v++ {
+					if spread || e.ShardOf(v) == e.ShardOf(1) {
+						vs = append(vs, v)
+					}
+				}
+				remap := func(edges []graph.Edge) []graph.Edge {
+					out := make([]graph.Edge, len(edges))
+					for i, ed := range edges {
+						out[i] = ed
+						if ed.U < uint32(len(vs)) {
+							out[i].U = vs[ed.U]
+						}
+						if ed.V < uint32(len(vs)) {
+							out[i].V = vs[ed.V]
+						}
+					}
+					return out
+				}
+				e.Insert(remap(tc.pre))
+				epoch0, batches0 := e.Epoch(), e.Batches()
+				before := e.Stats()
+				local0 := make([]uint64, p)
+				for si := range local0 {
+					local0[si] = e.LocalCPLDS(si).Epoch()
+				}
+
+				got := make([]counts, len(tc.calls))
+				var wg sync.WaitGroup
+				e.Quiesce(func() {
+					for i, c := range tc.calls {
+						queued := e.queued()
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							got[i].ins, got[i].del = e.Apply(remap(c.ins), remap(c.del))
+						}()
+						for len(tc.calls) > 1 && e.queued() == queued {
+							runtime.Gosched()
+						}
+					}
+				})
+				wg.Wait()
+
+				name := fmt.Sprintf("P=%d spread=%v %s", p, spread, tc.name)
+				if !slices.Equal(got, tc.want) {
+					t.Fatalf("%s: per-call counts %v, want %v", name, got, tc.want)
+				}
+				want := remap(tc.final)
+				for i := range want {
+					want[i] = want[i].Canon()
+				}
+				slices.SortFunc(want, func(a, b graph.Edge) int {
+					return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+				})
+				if g := e.GlobalEdges(); !slices.Equal(g, want) {
+					t.Fatalf("%s: final edges %v, want %v", name, g, want)
+				}
+				if err := e.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				epochs, rounds := e.Epoch()-epoch0, e.Batches()-batches0
+				if (epochs == 0) != (tc.epochs == 0) || (rounds == 0) != (epochs == 0) {
+					t.Fatalf("%s: %d epochs in %d rounds, want %d epochs", name, epochs, rounds, tc.epochs)
+				}
+				if !spread && (epochs != tc.epochs || rounds != min(tc.epochs, 1)) {
+					t.Fatalf("%s: %d epochs in %d rounds, want %d in %d", name, epochs, rounds, tc.epochs, min(tc.epochs, 1))
+				}
+				// Each shard commits at most one round of at most two
+				// sub-batches, and a round only with an epoch.
+				for si, st := range e.Stats() {
+					r, le := st.Batches-before[si].Batches, e.LocalCPLDS(si).Epoch()-local0[si]
+					if r > 1 || le > 2 || (r == 1) != (le > 0) {
+						t.Fatalf("%s: shard %d committed %d epochs in %d rounds", name, si, le, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// queued returns how many submissions have been queued across the shards.
+func (e *Engine) queued() (n uint64) {
+	for _, s := range e.shards {
+		s.qmu.Lock()
+		n += s.enqueued
+		s.qmu.Unlock()
+	}
+	return n
 }
 
 func TestMixedStreamMirrorsStayConsistent(t *testing.T) {

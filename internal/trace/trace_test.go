@@ -164,8 +164,7 @@ func TestReplayDeterministicFinalState(t *testing.T) {
 // asserts the replayed coreness state matches a fresh sharded build of the
 // same trace at the same epoch — replay is a sequential submitter, so both
 // runs commit the identical batch sequence. It also cross-checks the
-// single-engine replay: a 1-shard engine must agree with the plain CPLDS
-// replay edge-for-edge.
+// plain CPLDS replay: every shard count must agree with it edge-for-edge.
 func TestReplayShards(t *testing.T) {
 	tr, err := Synthesize("tiny", 800, 25, 0.25, 9)
 	if err != nil {
@@ -184,7 +183,7 @@ func TestReplayShards(t *testing.T) {
 			t.Fatalf("shards=%d: replayed %d/%d ops", shards, res.Ops, len(tr.Ops))
 		}
 		if res.FinalEdges != single.FinalEdges {
-			t.Fatalf("shards=%d: final edges %d, single-engine replay %d",
+			t.Fatalf("shards=%d: final edges %d, plain CPLDS replay %d",
 				shards, res.FinalEdges, single.FinalEdges)
 		}
 		if res.ReadLat.Count != single.ReadLat.Count {

@@ -179,10 +179,10 @@ type ShardState struct {
 	Inserted, Deleted int64
 }
 
-// Engine is the surface the WAL drives. Both backends (the single-CPLDS
-// engine and the sharded engine) implement it; wal deliberately imports
-// only the graph package, so the engines can import wal for the Batch and
-// ShardState types without a cycle.
+// Engine is the surface the WAL drives, implemented by the sharded CPLDS
+// engine (and by fakes in tests). wal deliberately imports only the graph
+// package, so the engine can import wal for the Batch and ShardState types
+// without a cycle.
 //
 // SetBatchLog, Quiesce, ApplyLogged, ShardDurable and RestoreShard are
 // quiescent-coordination methods: SetBatchLog and RestoreShard are called

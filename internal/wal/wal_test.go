@@ -565,14 +565,18 @@ func TestManagerCloseIdempotentAndConcurrent(t *testing.T) {
 	if err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "close") {
 		t.Fatalf("Snapshot after Close: %v, want after-close error", err)
 	}
-	// The log tail must still be intact: reopen and check nothing is torn.
+	// The log must still be intact: reopening recovers every committed
+	// batch, through the snapshot when the racing Snapshot won (its tail is
+	// then legitimately empty) and through tail replay otherwise. Shard 1
+	// ends at epoch 3 exactly when the racing commit was logged before
+	// Close.
 	f2 := newFakeEngine(8, 2)
 	m2, err := Open(dir, f2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m2.RecoveredBatches(); got < uint64(len(testBatches())) {
-		t.Fatalf("recovered %d batches after concurrent close, want >= %d", got, len(testBatches()))
+	if got := f2.epochs; got[0] != 3 || (got[1] != 2 && got[1] != 3) {
+		t.Fatalf("recovered epochs %v after concurrent close, want [3 2] or [3 3]", got)
 	}
 	if err := m2.Close(); err != nil {
 		t.Fatal(err)

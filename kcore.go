@@ -36,10 +36,9 @@
 // aged out fail with errors matching ErrEpochEvicted.
 //
 // Update calls (InsertEdges, DeleteEdges, ApplyBatch) are safe from any
-// number of goroutines: they serialize on a single engine and coalesce
-// across shards with WithShards(p > 1). Reads may be issued from any
-// number of goroutines at any time, including concurrently with a running
-// batch.
+// number of goroutines: calls that queue behind an in-flight batch are
+// coalesced into the next one. Reads may be issued from any number of
+// goroutines at any time, including concurrently with a running batch.
 package kcore
 
 import (
@@ -126,15 +125,11 @@ func WithWorkers(n int) Option {
 }
 
 // WithShards partitions the vertices across p independent CPLDS shards
-// fronted by a batch-coalescing scheduler. WithShards(1) is exactly the
-// default single-engine configuration (as is WithShards(0)); negative p is
-// rejected by New.
-//
-// With p > 1, concurrent InsertEdges, DeleteEdges and ApplyBatch calls
-// queued behind an in-flight batch are coalesced into per-shard
-// sub-batches and applied to the shards in parallel (with one shard they
-// serialize). Coreness reads stay lock-free and route directly to the
-// vertex's owning shard. The estimate returned for v is then the
+// (default 1; WithShards(0) also means 1, negative p is rejected by New).
+// The update contract is the same at every p; with p > 1, a call's edges
+// are routed to the shards holding them and the shards apply their
+// batches in parallel. Coreness reads stay lock-free and route directly to
+// the vertex's owning shard. The estimate returned for v is then the
 // (2+ε)-approximate coreness of v in its owning shard's subgraph (all
 // edges incident to the shard's vertices). Because that subgraph's exact
 // coreness never exceeds the global one, the estimate still respects the
@@ -319,20 +314,17 @@ func WithEventBuffer(n int) Option {
 }
 
 // Decomposition maintains an approximate k-core decomposition of a dynamic
-// undirected graph. All methods dispatch through one internal engine
-// interface with two implementations: the single-CPLDS backend (default)
-// and the sharded backend (WithShards); there is no per-method branching on
-// the mode.
+// undirected graph, over one CPLDS per shard (one by default, see
+// WithShards).
 //
 // Concurrency: the edge-batch update methods (InsertEdges, DeleteEdges,
-// ApplyBatch — not RemoveVertex) are safe for concurrent callers at every
-// shard count. With one shard (the default) concurrent calls serialize,
-// each call internally parallel; with WithShards(p > 1) calls queued behind
-// an in-flight batch are coalesced into per-shard sub-batches. Coreness,
-// CorenessNonLinearizable, CorenessBlocking, View and all View reads may be
-// called from any goroutine at any time in either mode.
+// ApplyBatch — not RemoveVertex) are safe for concurrent callers. Each
+// call is internally parallel, and calls queued behind an in-flight batch
+// are coalesced into the next one. Coreness, CorenessNonLinearizable,
+// CorenessBlocking, View and all View reads may be called from any
+// goroutine at any time.
 type Decomposition struct {
-	eng engine
+	eng *shard.Engine
 	wal *wal.Manager // nil without WithWAL
 
 	// Change feed: always constructed (an idle hub costs one atomic load
@@ -391,17 +383,12 @@ func New(n int, opts ...Option) (*Decomposition, error) {
 	if o.workers > 0 {
 		parallel.SetWorkers(o.workers)
 	}
-	var eng engine
-	if o.shards > 1 {
-		eng = shard.New(n, o.shards, o.params)
-	} else {
-		eng = newSingleEngine(n, o.params)
-	}
+	eng := shard.New(n, o.shards, o.params)
 	d := &Decomposition{eng: eng}
 	if o.walDir != "" {
 		// Recovery must precede retention setup: the multi-version logs
 		// initialize from the recovered per-shard epochs.
-		m, err := wal.Open(o.walDir, eng.(wal.Engine), wal.Options{
+		m, err := wal.Open(o.walDir, eng, wal.Options{
 			Sync:          wal.SyncPolicy(o.walOpts.Sync),
 			SyncEvery:     o.walOpts.SyncEvery,
 			SegmentBytes:  o.walOpts.SegmentBytes,
@@ -431,7 +418,7 @@ func New(n int, opts ...Option) (*Decomposition, error) {
 		if d.wal != nil {
 			src = d.wal
 		} else {
-			d.tailSrc = wal.NewTailSource(eng.(wal.Engine))
+			d.tailSrc = wal.NewTailSource(eng)
 			src = d.tailSrc
 		}
 		d.feeder = replica.NewFeeder(src, replica.FeederOptions{
@@ -449,7 +436,7 @@ func New(n int, opts ...Option) (*Decomposition, error) {
 		go d.feederSrv.Serve(ln)
 	}
 	if o.replSource != "" {
-		fol, err := replica.StartFollower(eng.(replica.Engine), o.replSource, replica.FollowerOptions{
+		fol, err := replica.StartFollower(eng, o.replSource, replica.FollowerOptions{
 			DialTimeout:   o.replOpts.DialTimeout,
 			StreamTimeout: o.replOpts.StreamTimeout,
 			BackoffMin:    o.replOpts.BackoffMin,
@@ -657,13 +644,14 @@ func (d *Decomposition) NumEdges() int64 { return d.eng.NumEdges() }
 // estimates (per shard, when sharded).
 func (d *Decomposition) ApproxFactor() float64 { return d.eng.ApproxFactor() }
 
-// BatchNumber returns the number of update batches processed so far
-// (summed across shards, when sharded).
+// BatchNumber returns the number of update batches applied so far, summed
+// across shards: one per scheduler round (one update call, or several
+// coalesced ones), whose sub-batches each commit an epoch.
 func (d *Decomposition) BatchNumber() uint64 { return d.eng.Batches() }
 
-// Epoch returns the current committed epoch: the number of update batches
-// whose effects are fully visible to readers (summed across shards, when
-// sharded). The epoch advances exactly at batch boundaries; every View read
+// Epoch returns the current committed epoch: the number of update
+// sub-batches whose effects are fully visible to readers, summed across
+// shards. The epoch advances exactly at batch boundaries; every View read
 // reports the epoch of the cut it was served from. Safe to call at any
 // time.
 func (d *Decomposition) Epoch() uint64 { return d.eng.Epoch() }
@@ -714,13 +702,14 @@ func (d *Decomposition) DeleteEdges(edges []Edge) int {
 // the paper's model, the mix is processed as an insertion sub-batch
 // followed by a deletion sub-batch ("batches contain a mix of insertions
 // and deletions, which are separated into insertion and deletion
-// sub-batches during pre-processing", §2). It returns the number of edges
-// inserted and deleted. Concurrent reads remain linearizable; each
-// sub-batch is its own atomicity unit (per shard, when sharded) and
-// commits its own epoch, while the whole call is one write-ahead-log and
-// replication record. An edge named in both lists is inserted, then
-// deleted; with WithShards(p > 1) the two are coalesced and only the
-// deletion applies.
+// sub-batches during pre-processing", §2), so an edge named in both lists
+// is inserted, then deleted. It returns the number of edges inserted and
+// deleted. Concurrent reads remain linearizable; each sub-batch is its own
+// atomicity unit per shard and commits its own epoch, while the call's
+// batch is one write-ahead-log and replication record per shard. A call
+// without a valid edge commits nothing. Of an edge that several coalesced
+// calls name, the latest call's insertion and/or deletion applies, and
+// each call counts the changes its winning edges made.
 func (d *Decomposition) ApplyBatch(insertions, deletions []Edge) (inserted, deleted int) {
 	if d.ReadOnly() {
 		return 0, 0

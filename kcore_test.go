@@ -2,8 +2,13 @@ package kcore
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
+
+	"kcore/internal/cplds"
+	"kcore/internal/lds"
+	"kcore/internal/parallel"
 )
 
 func clique(n int) []Edge {
@@ -170,8 +175,10 @@ func TestApplyBatchMixed(t *testing.T) {
 	if d.NumEdges() != 45-20+3 {
 		t.Fatalf("NumEdges = %d", d.NumEdges())
 	}
-	if d.BatchNumber() != 3 {
-		t.Fatalf("BatchNumber = %d (insert + mixed insert + mixed delete)", d.BatchNumber())
+	// BatchNumber counts update rounds (two calls); Epoch counts their
+	// committed sub-batches (insert, then the mixed call's insert and delete).
+	if d.BatchNumber() != 2 || d.Epoch() != 3 {
+		t.Fatalf("BatchNumber = %d, Epoch = %d, want 2 and 3", d.BatchNumber(), d.Epoch())
 	}
 	if err := d.Check(); err != nil {
 		t.Fatal(err)
@@ -182,5 +189,56 @@ func TestOutOfRangeEdgesIgnored(t *testing.T) {
 	d, _ := New(3)
 	if n := d.InsertEdges([]Edge{{0, 9}, {7, 8}, {0, 1}}); n != 1 {
 		t.Fatalf("added = %d, want 1", n)
+	}
+}
+
+// TestApplyBatchAllocsMatchCPLDS guards the one-shard update path: on a
+// steady sliding window, ApplyBatch allocates at most a small constant
+// more per call than the CPLDS's own InsertBatch+DeleteBatch on the same
+// input — the scheduler round adds no per-edge allocation. One worker
+// keeps goroutine start-up out of both counts.
+func TestApplyBatchAllocsMatchCPLDS(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	const n, batch, window, ring = 2000, 500, 2, 6
+	defer parallel.SetWorkers(parallel.Workers())
+	parallel.SetWorkers(1)
+	rng := rand.New(rand.NewSource(5))
+	batches := make([][]Edge, ring)
+	for i := range batches {
+		for len(batches[i]) < batch {
+			if u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n)); u != v {
+				batches[i] = append(batches[i], Edge{U: u, V: v})
+			}
+		}
+	}
+	d, err := New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cplds.New(n, lds.DefaultParams())
+	c.SetRetainedEpochs(DefaultRetainedEpochs)
+	step := func(apply func(ins, del []Edge)) func() {
+		i := 0
+		return func() {
+			apply(batches[i%ring], batches[(i+ring-window)%ring])
+			i++
+		}
+	}
+	viaDecomposition := step(func(ins, del []Edge) { d.ApplyBatch(ins, del) })
+	direct := step(func(ins, del []Edge) {
+		c.InsertBatch(toInternal(ins))
+		c.DeleteBatch(toInternal(del))
+	})
+	// Warm both up to a steady state: every scratch buffer sized.
+	for i := 0; i < 4*ring; i++ {
+		viaDecomposition()
+		direct()
+	}
+	got := testing.AllocsPerRun(4*ring, viaDecomposition)
+	base := testing.AllocsPerRun(4*ring, direct)
+	if got > base+6 {
+		t.Fatalf("ApplyBatch allocates %.0f per call, direct CPLDS batches %.0f; want at most 6 more", got, base)
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // TestViewBasics exercises the quiescent behaviour of the View read
-// surface in single-engine mode: agreement with the legacy read methods,
+// surface on one shard: agreement with the legacy read methods,
 // epoch advancement at batch boundaries, and histogram accounting.
 func TestViewBasics(t *testing.T) {
 	d, err := New(40)
@@ -391,7 +391,7 @@ func TestViewShardedEpochConsistency(t *testing.T) {
 
 // TestShardedAppsQuiescent is the regression test for the sharded-mode
 // panic: every apps-layer method must work on a sharded Decomposition by
-// routing through the engine interface's global snapshot.
+// routing through the engine's reassembled global snapshot.
 func TestShardedAppsQuiescent(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -458,7 +458,7 @@ func TestOptionValidation(t *testing.T) {
 			t.Fatalf("WithShards(%d): %v", p, err)
 		}
 		if got := d.Shards(); got != 1 {
-			t.Fatalf("WithShards(%d).Shards() = %d, want 1 (single engine)", p, got)
+			t.Fatalf("WithShards(%d).Shards() = %d, want 1", p, got)
 		}
 	}
 }
